@@ -237,6 +237,12 @@ def mutually_exclusive(phi: Constraint, psi: Constraint) -> str:
 
 # --- guard text format ------------------------------------------------------
 
+# Evaluating and formatting recurse once per level of a guard, so parse_guard
+# rejects guards deeper than this, far below the interpreter's recursion
+# limit; guards the constructions emit are one level deeper than the number
+# of atoms they mention.
+MAX_GUARD_DEPTH = 100
+
 def format_guard(phi: Constraint) -> str:
     """Render a constraint in the guard grammar (parse_guard inverse)."""
     return _format(phi, 0)
@@ -261,11 +267,19 @@ def _format(phi: Constraint, prec: int) -> str:
 class _GuardParser:
     """Recursive descent over: or < and < not; atoms hist(a), pred(a),
     stackhist, stackpred with <= >= = < > and rational constants.
+
+    Each parse method returns the constraint and its depth: one per node on
+    the longest root-to-leaf path, plus one per enclosing pair of
+    parentheses.  A depth above MAX_GUARD_DEPTH is rejected, and so is
+    parenthesis or `not` nesting above it before the descent goes deeper.
     """
+
+    _DESUGARED_DEPTH = {"<=": 1, ">=": 1, "=": 2, "<": 3, ">": 3}
 
     def __init__(self, text: str):
         self.tokens = self._tokenize(text)
         self.pos = 0
+        self.nesting = 0
 
     @staticmethod
     def _tokenize(text: str) -> list[str]:
@@ -307,50 +321,69 @@ class _GuardParser:
         if got != tok:
             raise ConstraintError(f"expected {tok!r}, got {got!r}")
 
+    @staticmethod
+    def _bounded(depth: int) -> int:
+        if depth > MAX_GUARD_DEPTH:
+            raise ConstraintError(
+                f"guard nested deeper than {MAX_GUARD_DEPTH}")
+        return depth
+
+    def _nested(self, parse: Callable[[], tuple[Constraint, int]]
+                ) -> tuple[Constraint, int]:
+        """Parse under one more parenthesis or `not`; its result is at least
+        that deep, so the nesting is bounded before recursing."""
+        self.nesting = self._bounded(self.nesting + 1)
+        phi, depth = parse()
+        self.nesting -= 1
+        return phi, self._bounded(depth + 1)
+
     def parse(self) -> Constraint:
-        phi = self.parse_or()
+        phi, _ = self.parse_or()
         if self.peek() is not None:
             raise ConstraintError(f"trailing tokens: {self.tokens[self.pos:]}")
         return phi
 
-    def parse_or(self) -> Constraint:
-        phi = self.parse_and()
+    def parse_or(self) -> tuple[Constraint, int]:
+        phi, depth = self.parse_and()
         while self.peek() == "or":
             self.take()
-            phi = Or(phi, self.parse_and())
-        return phi
+            rhs, rhs_depth = self.parse_and()
+            phi, depth = Or(phi, rhs), self._bounded(max(depth, rhs_depth) + 1)
+        return phi, depth
 
-    def parse_and(self) -> Constraint:
-        phi = self.parse_not()
+    def parse_and(self) -> tuple[Constraint, int]:
+        phi, depth = self.parse_not()
         while self.peek() == "and":
             self.take()
-            phi = And(phi, self.parse_not())
-        return phi
+            rhs, rhs_depth = self.parse_not()
+            phi, depth = And(phi, rhs), self._bounded(max(depth, rhs_depth) + 1)
+        return phi, depth
 
-    def parse_not(self) -> Constraint:
+    def parse_not(self) -> tuple[Constraint, int]:
         if self.peek() == "not":
             self.take()
-            return Not(self.parse_not())
+            inner, depth = self._nested(self.parse_not)
+            return Not(inner), depth
         return self.parse_atom()
 
-    def parse_atom(self) -> Constraint:
+    def parse_atom(self) -> tuple[Constraint, int]:
         tok = self.take()
         if tok == "(":
             if self.peek() == ")":
                 raise ConstraintError("empty parentheses")
-            phi = self.parse_or()
+            phi, depth = self._nested(self.parse_or)
             self.expect(")")
-            return phi
+            return phi, depth
         if tok == "true":
-            return TRUE
+            return TRUE, 1
         if tok == "false":
-            return FALSE
+            return FALSE, 1
         clock = self._parse_clock(tok)
         op = self.take()
-        if op not in ("<=", ">=", "=", "<", ">"):
+        if op not in self._DESUGARED_DEPTH:
             raise ConstraintError(f"expected a comparison operator, got {op!r}")
         bound = parse_rational(self.take())
-        return desugar(op, clock, bound)
+        return desugar(op, clock, bound), self._DESUGARED_DEPTH[op]
 
     def _parse_clock(self, tok: str) -> Clock:
         if tok == "stackhist":

@@ -3,11 +3,19 @@
 Symbols are split into calls (left brackets), returns (right brackets) and
 internals; timestamps are exact rationals and must strictly increase.
 Positions are 1-based throughout.
+
+Event clocks are fixed by the string alone, so each `TimedString` keeps a
+clock index that `clock_value` fills in on first use: the bracket-partner
+array (from `compute_matching`) on the first stack-clock read, and a
+symbol's sorted occurrence positions on the first `hist`/`pred` read of that
+symbol.  Building a part costs one O(n) scan; every later read is an array
+lookup or a binary search over one symbol's positions.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -173,6 +181,9 @@ class Matching:
     partner: tuple[Optional[int], ...]
 
     def __getitem__(self, i: int) -> Optional[int]:
+        if not 1 <= i <= len(self.partner):
+            raise IndexError(
+                f"position {i} out of range 1..{len(self.partner)}")
         return self.partner[i - 1]
 
 
@@ -196,28 +207,41 @@ def compute_matching(w: TimedString) -> Matching:
 
 
 def clock_value(w: TimedString, i: int, clock: Clock) -> Optional[Fraction]:
-    """Value of an event clock at position i, or None when undefined."""
+    """Value of an event clock at position i, or None when undefined.
+
+    The first read of a clock kind (per symbol for hist/pred) on a string
+    indexes it in O(n); later reads cost O(log n).
+    """
     w._check_pos(i)
-    if clock.kind is ClockKind.SYMBOL_HISTORY:
-        for j in range(i - 1, 0, -1):
-            if w.symbol(j) == clock.symbol:
-                return w.time(i) - w.time(j)
-        return None
-    if clock.kind is ClockKind.SYMBOL_PREDICTION:
-        for j in range(i + 1, len(w) + 1):
-            if w.symbol(j) == clock.symbol:
-                return w.time(j) - w.time(i)
-        return None
-    matching = compute_matching(w)
-    j = matching[i]
-    if clock.kind is ClockKind.STACK_HISTORY:
-        if w.symbol(i) in w.alphabet.returns and j is not None:
-            return w.time(i) - w.time(j)
-        return None
-    # stack prediction
-    if w.symbol(i) in w.alphabet.calls and j is not None:
-        return w.time(j) - w.time(i)
-    return None
+    # The index lives in the instance dict, outside the dataclass fields, so
+    # it takes no part in eq, hash or repr.
+    index = w.__dict__
+    events = w.events
+    kind = clock.kind
+    if kind is ClockKind.STACK_HISTORY or kind is ClockKind.STACK_PREDICTION:
+        partner = index.get("_partner")
+        if partner is None:
+            partner = index["_partner"] = compute_matching(w).partner
+        # A matched return's partner comes before it, a matched call's after.
+        j = partner[i - 1]
+        if j is None:
+            return None
+        if kind is ClockKind.STACK_HISTORY:
+            return events[i - 1][1] - events[j - 1][1] if j < i else None
+        return events[j - 1][1] - events[i - 1][1] if j > i else None
+    occurrences = index.get("_occurrences")
+    if occurrences is None:
+        occurrences = index["_occurrences"] = {}
+    at = occurrences.get(clock.symbol)
+    if at is None:
+        at = occurrences[clock.symbol] = [
+            j for j, (sym, _) in enumerate(events, start=1)
+            if sym == clock.symbol]
+    if kind is ClockKind.SYMBOL_HISTORY:
+        k = bisect_left(at, i)
+        return events[i - 1][1] - events[at[k - 1] - 1][1] if k else None
+    k = bisect_right(at, i)
+    return events[at[k] - 1][1] - events[i - 1][1] if k < len(at) else None
 
 
 def is_well_nested_span(w: TimedString, start: int, end: int) -> bool:

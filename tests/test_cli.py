@@ -2,6 +2,7 @@
 
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -105,6 +106,27 @@ class TestCheckDet:
         code = main(["check-det", str(path)])
         assert code == EXIT_REJECT
         assert "nondeterministic" in capsys.readouterr().out
+
+
+class TestDeepGuard:
+    @pytest.fixture
+    def deep_automaton(self, bracket_files, tmp_path):
+        """The one-pair acceptor with a 1,200-conjunct guard on every rule."""
+        data = json.loads(Path(bracket_files["automaton"]).read_text())
+        for rule in data["transitions"]:
+            rule["guard"] = " and ".join(["hist(c) >= 0"] * 1200)
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps(data))
+        return str(path)
+
+    def test_check_det_fails_fast(self, deep_automaton, capsys):
+        assert main(["check-det", deep_automaton]) == EXIT_ERROR
+        assert "deeper than" in capsys.readouterr().err
+
+    def test_run_fails_fast(self, deep_automaton, bracket_files, capsys):
+        code = main(["run", deep_automaton, bracket_files["accepted"]])
+        assert code == EXIT_ERROR
+        assert "deeper than" in capsys.readouterr().err
 
 
 class TestDiff:

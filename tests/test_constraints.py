@@ -11,7 +11,8 @@ from ecidpda import (And, Atom, ConstraintError, FALSE, Not, Or,
                      atoms, desugar, eval_under, evaluate, format_guard,
                      hist, mutually_exclusive, parse_guard, pred, stack_hist,
                      stack_pred, xi)
-from ecidpda.constraints import assignment_feasible, sorted_atoms
+from ecidpda.constraints import (MAX_GUARD_DEPTH, assignment_feasible,
+                                 sorted_atoms)
 from ecidpda.generate import random_clock
 
 from .conftest import random_symbols, timed
@@ -211,3 +212,41 @@ class TestGuardText:
         g_false = parse_guard("hist(c) > 0.1 and pred(d) < 0.2")
         assert evaluate(g_true, example_string, 6) is True
         assert evaluate(g_false, example_string, 6) is False
+
+
+class TestGuardDepth:
+    """parse_guard bounds the depth that evaluation and formatting recurse
+    through: left-deep and/or chains, `not` and parentheses all count."""
+
+    @pytest.mark.parametrize("op", ["and", "or"])
+    def test_deepest_chain_parses_evaluates_and_formats(self, op,
+                                                        example_string):
+        phi = parse_guard(f" {op} ".join(["hist(c) <= 1"] * MAX_GUARD_DEPTH))
+        assert parse_guard(format_guard(phi)) == phi
+        assert evaluate(phi, example_string, 6) is True  # hist(c) is 0.3
+
+    @pytest.mark.parametrize("text", [
+        " and ".join(["hist(c) <= 1"] * (MAX_GUARD_DEPTH + 1)),
+        " or ".join(["hist(c) <= 1"] * 1200),
+        " and ".join(["hist(c) < 1"] * 1200),
+        "not " * MAX_GUARD_DEPTH + "true",
+        "(" * MAX_GUARD_DEPTH + "true" + ")" * MAX_GUARD_DEPTH,
+        "(" * 5000 + "true" + ")" * 5000,
+        "not " * 5000 + "true",
+        "(" * 60 + " and ".join(["true"] * 60) + ")" * 60,
+    ], ids=["and-chain", "or-chain-1200", "sugared-chain-1200", "not-chain",
+            "parentheses", "parentheses-5000", "not-chain-5000",
+            "chain-in-parentheses"])
+    def test_too_deep_is_rejected(self, text):
+        with pytest.raises(ConstraintError, match="deeper than"):
+            parse_guard(text)
+
+    def test_depth_counts_nesting_and_sugar(self):
+        just = MAX_GUARD_DEPTH - 1
+        assert parse_guard("not " * just + "true") is not None
+        assert parse_guard("(" * just + "true" + ")" * just) == TRUE
+        # `x < b` desugars to a three-level And(<=, Not(>=)).
+        sugared = " and ".join(["stackhist < 1"] * (MAX_GUARD_DEPTH - 2))
+        assert parse_guard(sugared) is not None
+        with pytest.raises(ConstraintError):
+            parse_guard(sugared + " and stackhist < 1")

@@ -10,6 +10,7 @@ from ecidpda import (Clock, ClockKind, PartitionedAlphabet, TimedString,
                      TimedStringError, clock_value, compute_matching, hist,
                      load_timed_string, longest_well_nested_suffix_start,
                      pred, stack_hist, stack_pred)
+from ecidpda import timed as timed_module
 from ecidpda.rat import format_rational, parse_rational
 
 from .conftest import (all_bracket_patterns, random_symbols,
@@ -97,6 +98,12 @@ class TestMatching:
         m = compute_matching(w)
         assert m[1] is None and m[2] is None
 
+    @pytest.mark.parametrize("i", [0, -1, 4])
+    def test_index_out_of_range(self, bracket_alphabet, i):
+        m = compute_matching(timed(bracket_alphabet, "< c >"))
+        with pytest.raises(IndexError):
+            m[i]
+
     def test_agrees_with_reference_exhaustively(self, bracket_alphabet):
         for pattern in all_bracket_patterns(10):
             w = timed(bracket_alphabet, pattern)
@@ -180,6 +187,105 @@ class TestClockValue:
             Clock(ClockKind.SYMBOL_HISTORY)
         with pytest.raises(TimedStringError):
             Clock(ClockKind.STACK_HISTORY, "c")
+
+
+def reference_clock_value(w: TimedString, i: int, clock: Clock):
+    """Clock value by scanning the string, as the definitions read."""
+    symbols, alphabet = w.symbols, w.alphabet
+    if clock.kind is ClockKind.SYMBOL_HISTORY:
+        earlier = [j for j in range(1, i) if symbols[j - 1] == clock.symbol]
+        return w.time(i) - w.time(earlier[-1]) if earlier else None
+    if clock.kind is ClockKind.SYMBOL_PREDICTION:
+        later = [j for j in range(i + 1, len(w) + 1)
+                 if symbols[j - 1] == clock.symbol]
+        return w.time(later[0]) - w.time(i) if later else None
+    partner = reference_matching(list(symbols), alphabet).get(i)
+    if partner is None:
+        return None
+    if clock.kind is ClockKind.STACK_HISTORY:
+        if symbols[i - 1] in alphabet.returns:
+            return w.time(i) - w.time(partner)
+        return None
+    if symbols[i - 1] in alphabet.calls:
+        return w.time(partner) - w.time(i)
+    return None
+
+
+def all_clocks(alphabet: PartitionedAlphabet) -> list[Clock]:
+    return ([hist(s) for s in sorted(alphabet.symbols)]
+            + [pred(s) for s in sorted(alphabet.symbols)]
+            + [stack_hist(), stack_pred()])
+
+
+class TestClockIndex:
+    """clock_value reads a per-string index; a scan is the reference."""
+
+    def check_against_reference(self, w: TimedString) -> None:
+        clocks = all_clocks(w.alphabet)
+        # Two passes: the first builds the index, the second reads it.
+        for _ in range(2):
+            for i in range(1, len(w) + 1):
+                for clock in clocks:
+                    assert (clock_value(w, i, clock)
+                            == reference_clock_value(w, i, clock)), (
+                        w.symbols, i, str(clock))
+
+    def test_random_strings(self, bracket_alphabet):
+        rng = random.Random(7)
+        steps = [F(1, 4), F(1, 2), F(1), F(3, 2)]
+        for _ in range(300):
+            symbols = random_symbols(rng, bracket_alphabet, max_len=20)
+            t, events = F(0), []
+            for sym in symbols:
+                t += rng.choice(steps)
+                events.append((sym, t))
+            if events:
+                self.check_against_reference(
+                    TimedString(bracket_alphabet, events))
+
+    def test_all_bracket_patterns(self, bracket_alphabet):
+        # Only < and > occur, so c and d are alphabet symbols absent from
+        # every string.
+        for pattern in all_bracket_patterns(8):
+            self.check_against_reference(timed(bracket_alphabet, pattern))
+
+    @pytest.fixture
+    def matching_calls(self, monkeypatch):
+        calls = []
+        original = timed_module.compute_matching
+
+        def counting(w):
+            calls.append(w)
+            return original(w)
+
+        monkeypatch.setattr(timed_module, "compute_matching", counting)
+        return calls
+
+    def test_stack_clocks_match_once_per_string(self, bracket_alphabet,
+                                                matching_calls):
+        w = timed(bracket_alphabet, "< < c > d > > <")
+        for _ in range(3):
+            for i in range(1, len(w) + 1):
+                clock_value(w, i, stack_hist())
+                clock_value(w, i, stack_pred())
+        assert matching_calls == [w]
+
+    def test_symbol_clocks_never_match(self, bracket_alphabet,
+                                       matching_calls):
+        w = timed(bracket_alphabet, "< < c > d > > <")
+        for i in range(1, len(w) + 1):
+            for sym in sorted(bracket_alphabet.symbols):
+                clock_value(w, i, hist(sym))
+                clock_value(w, i, pred(sym))
+        assert matching_calls == []
+
+    def test_index_stays_out_of_equality(self, bracket_alphabet):
+        w = timed(bracket_alphabet, "< c >")
+        fresh = timed(bracket_alphabet, "< c >")
+        clock_value(w, 1, stack_pred())
+        clock_value(w, 2, hist("<"))
+        assert w == fresh and hash(w) == hash(fresh)
+        assert repr(w) == repr(fresh)
 
 
 class TestSuffixStart:
