@@ -40,9 +40,8 @@ def _theoretical_bounds(source: Ecidpda, mode: str) -> tuple[int, int]:
     n = len(source.states)
     k = len(source.atom_set())
     calls = max(1, len(source.alphabet.calls))
-    if mode == "untimed":
-        return 2 ** (n * n), calls * 2 ** (n * n)
-    if mode == "direct":
+    if mode in ("untimed", "direct"):
+        # An untimed source has k = 0: the direct bound is the untimed one.
         return 2 ** (n * n), calls * 2 ** (n * n + k)
     # Mirrored atoms can only replace stack prediction atoms one for one, so
     # k also bounds the tracked universe of the improved construction.
@@ -245,7 +244,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         return args.func(args)
     except (AutomatonError, ConstraintError, TimedStringError, WitnessError,
-            FileNotFoundError, json.JSONDecodeError, KeyError) as exc:
+            OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -382,7 +382,10 @@ class _GuardParser:
         op = self.take()
         if op not in self._DESUGARED_DEPTH:
             raise ConstraintError(f"expected a comparison operator, got {op!r}")
-        bound = parse_rational(self.take())
+        try:
+            bound = parse_rational(self.take())
+        except ValueError as exc:
+            raise ConstraintError(str(exc)) from exc
         return desugar(op, clock, bound), self._DESUGARED_DEPTH[op]
 
     def _parse_clock(self, tok: str) -> Clock:

@@ -1,12 +1,15 @@
-"""Three determinization constructions over lazily materialized state sets.
+"""Two determinization constructions over lazily materialized state sets.
 
-All three track pair sets P of source states: (state when the current
-well-nested suffix began, state now).  The event-clock versions enumerate,
-per materialized state, every truth assignment S to the atomic constraints
-and guard the emitted transition with xi(S): the constraint asserting that
-exactly the atoms of S hold.  The stack-prediction-free version augments
-each state with a survivor set R tracking computations under the assumption
-that every open bracket stays unmatched.
+Both track pair sets P of source states: (state when the current
+well-nested suffix began, state now).  They enumerate, per materialized
+state, every truth assignment S to the atomic constraints and guard the
+emitted transition with xi(S): the constraint asserting that exactly the
+atoms of S hold.  The direct construction stores S in the stack at each
+call; with no atoms (every guard `true`) it is the untimed pair-set
+determinization, which `determinize_untimed` runs after checking that
+precondition.  The stack-prediction-free version augments each state with
+a survivor set R tracking computations under the assumption that every
+open bracket stays unmatched.
 
 Reachability follows the transition graph with context tracking: matched
 return transitions are emitted only for (state, stack symbol) combinations
@@ -82,12 +85,11 @@ class _Blueprint:
     dead: Callable           # state -> bool: absorbing and never accepting
 
 
-def _feasible_subsets(universe: tuple[Atom, ...], prune: bool
-                      ) -> list[frozenset[Atom]]:
+def _feasible_subsets(universe: tuple[Atom, ...]) -> list[frozenset[Atom]]:
     subsets: list[frozenset[Atom]] = []
     for mask in range(1 << len(universe)):
         s = frozenset(a for bit, a in enumerate(universe) if mask >> bit & 1)
-        if not prune or assignment_feasible(universe, s):
+        if assignment_feasible(universe, s):
             subsets.append(s)
     return subsets
 
@@ -225,54 +227,37 @@ def _run_blueprint(bp: _Blueprint) -> Ecidpda:
 
 
 class _SourceTables:
-    """Per-(symbol, assignment) step maps of the source automaton, memoized.
+    """Per-(symbol, popped symbol, assignment) step maps of the source
+    automaton, memoized.
 
     An assignment is a frozenset of atoms taken as true; every other atom of
-    a guard counts as false.
+    a guard counts as false.  A call map sends a state to its (target state,
+    pushed source stack symbol) pairs, any other map to its target states;
+    pop is the popped stack symbol of a return rule (None on the bottom).
     """
 
     def __init__(self, a: Ecidpda):
-        self.a = a
-        self.index = RuleIndex(a)
-        self._internal: dict = {}
-        self._call: dict = {}
-        self._ret: dict = {}
+        self._rules: dict[tuple[str, Optional[str]], list] = {}
+        for rule in a.rules:
+            pop = rule.pop if isinstance(rule, ReturnRule) else None
+            out = (rule.dst, rule.push) if isinstance(rule, CallRule) \
+                else rule.dst
+            self._rules.setdefault((rule.symbol, pop), []).append(
+                (rule.guard, rule.src, out))
+        self._memo: dict = {}
 
-    def internal(self, sym: str, s: frozenset[Atom]) -> dict[str, frozenset[str]]:
-        key = (sym, s)
-        if key not in self._internal:
-            table: dict[str, set[str]] = {}
-            for rule in self.a.rules:
-                if isinstance(rule, InternalRule) and rule.symbol == sym \
-                        and eval_under(rule.guard, s):
-                    table.setdefault(rule.src, set()).add(rule.dst)
-            self._internal[key] = {q: frozenset(v) for q, v in table.items()}
-        return self._internal[key]
-
-    def call(self, sym: str, s: frozenset[Atom]
-             ) -> dict[str, frozenset[tuple[str, str]]]:
-        """q -> {(target state, pushed source stack symbol)}."""
-        key = (sym, s)
-        if key not in self._call:
-            table: dict[str, set[tuple[str, str]]] = {}
-            for rule in self.a.rules:
-                if isinstance(rule, CallRule) and rule.symbol == sym \
-                        and eval_under(rule.guard, s):
-                    table.setdefault(rule.src, set()).add((rule.dst, rule.push))
-            self._call[key] = {q: frozenset(v) for q, v in table.items()}
-        return self._call[key]
-
-    def ret(self, sym: str, pop: Optional[str], s: frozenset[Atom]
-            ) -> dict[str, frozenset[str]]:
+    def step(self, sym: str, s: frozenset[Atom], pop: Optional[str] = None
+             ) -> dict[str, frozenset]:
         key = (sym, pop, s)
-        if key not in self._ret:
-            table: dict[str, set[str]] = {}
-            for rule in self.a.rules:
-                if isinstance(rule, ReturnRule) and rule.symbol == sym \
-                        and rule.pop == pop and eval_under(rule.guard, s):
-                    table.setdefault(rule.src, set()).add(rule.dst)
-            self._ret[key] = {q: frozenset(v) for q, v in table.items()}
-        return self._ret[key]
+        table = self._memo.get(key)
+        if table is None:
+            found: dict[str, set] = {}
+            for guard, src, out in self._rules.get((sym, pop), ()):
+                if eval_under(guard, s):
+                    found.setdefault(src, set()).add(out)
+            table = self._memo[key] = {q: frozenset(v)
+                                       for q, v in found.items()}
+        return table
 
 
 def _advance_pairs(pairs: PairSet, table: dict[str, frozenset[str]]) -> PairSet:
@@ -320,101 +305,51 @@ def _symbol_guard_atoms(a: Ecidpda) -> dict[str, set[Atom]]:
     return result
 
 
-def _call_guard_atoms(a: Ecidpda) -> dict[str, frozenset[Atom]]:
-    """Per call symbol, the atoms appearing in its call-rule guards."""
-    result = {sym: set() for sym in a.alphabet.calls}
-    for rule in a.rules:
-        if isinstance(rule, CallRule):
-            result[rule.symbol] |= guard_atoms(rule.guard)
-    return {sym: frozenset(v) for sym, v in result.items()}
-
-
-# --- Construction 1: untimed pair-set determinization -------------------------
+# --- Construction 1: direct event-clock determinization -----------------------
 
 
 def determinize_untimed(a: Ecidpda) -> Ecidpda:
-    """Pair-set determinization for automata whose guards are all TRUE.
+    """Pair-set determinization for automata whose guards are all TRUE: the
+    direct construction with an empty atom universe.
 
     Output states are reachable subsets of Q x Q; stack symbols pair the read
-    bracket with the pushed simulation context.
+    bracket with the pushed simulation context (and the empty truth set).
     """
     for rule in a.rules:
         if rule.guard is not TRUE and rule.guard != TRUE:
             raise AutomatonError(
                 "untimed determinization requires all guards to be true")
-    tables = _SourceTables(a)
-    empty = frozenset()
-
-    def internal_step(pairs: PairSet, sym: str, _s) -> PairSet:
-        return _advance_pairs(pairs, tables.internal(sym, empty))
-
-    def call_step(pairs: PairSet, sym: str, _s):
-        call_table = tables.call(sym, empty)
-        entry = frozenset((q2, q2) for _, q in pairs
-                          for q2, _gamma in call_table.get(q, ()))
-        return entry, (pairs, sym)
-
-    summaries: dict = {}
-
-    def return_step(pairs: PairSet, gamma, sym: str, _s) -> PairSet:
-        outer, bracket = gamma
-        key = (pairs, bracket, sym)
-        f = summaries.get(key)
-        if f is None:
-            f = summaries[key] = _pop_summary(
-                pairs, tables.call(bracket, empty),
-                lambda pop: tables.ret(sym, pop, empty))
-        return frozenset((p, q2) for p, q in outer for q2 in f.get(q, ()))
-
-    def bottom_step(pairs: PairSet, sym: str, _s) -> PairSet:
-        # An unmatched return empties the well-nested suffix, so the anchors
-        # reset to the current states, mirroring the pair-set semantics.
-        table = tables.ret(sym, None, empty)
-        return frozenset((q2, q2) for _, q in pairs for q2 in table.get(q, ()))
-
-    bp = _Blueprint(
-        alphabet=a.alphabet,
-        universe_for={sym: () for sym in a.alphabet.symbols},
-        subsets_for={sym: [empty] for sym in a.alphabet.symbols},
-        initial=frozenset((q, q) for q in a.initial),
-        internal_step=internal_step,
-        call_step=call_step,
-        return_step=return_step,
-        bottom_step=bottom_step,
-        accepting=lambda pairs: any(q in a.accepting for _, q in pairs),
-        state_name=pair_set_name,
-        gamma_name=lambda g: f"K{{{pair_set_name(g[0])};{g[1]}}}",
-        dead=lambda pairs: not pairs,
-    )
-    return _run_blueprint(bp)
+    return _direct(a)
 
 
-# --- Construction 2: direct event-clock determinization -----------------------
-
-
-def determinize_direct(a: Ecidpda, *, prune: bool = True) -> Ecidpda:
+def determinize_direct(a: Ecidpda) -> Ecidpda:
     """Pair-set determinization storing the truth of every atomic constraint
     in the stack at each call, so the call transition of the source can be
     replayed when the matching return is read.
     """
+    return _direct(a)
+
+
+def _direct(a: Ecidpda) -> Ecidpda:
+    # Both public entry points call this body rather than each other, so each
+    # call is traced as exactly one determinize_* span.
     universe = sorted_atoms(a.atom_set())
     universe_for = {sym: sorted_atoms(atoms_of)
                     for sym, atoms_of in _symbol_guard_atoms(a).items()}
-    subsets_for = {sym: _feasible_subsets(u, prune)
+    subsets_for = {sym: _feasible_subsets(u)
                    for sym, u in universe_for.items()}
     tables = _SourceTables(a)
-    call_atoms = _call_guard_atoms(a)
 
     def internal_step(pairs: PairSet, sym: str, s) -> PairSet:
-        return _advance_pairs(pairs, tables.internal(sym, s))
+        return _advance_pairs(pairs, tables.step(sym, s))
 
     def call_step(pairs: PairSet, sym: str, s):
-        call_table = tables.call(sym, s)
+        call_table = tables.step(sym, s)
         entry = frozenset((q2, q2) for _, q in pairs
                           for q2, _gamma in call_table.get(q, ()))
-        # Only the atoms tested by call guards matter at the matched return,
-        # so the stack stores the truth set projected onto them.
-        return entry, (pairs, sym, s & call_atoms[sym])
+        # A call symbol is read only by call rules, so s holds only atoms its
+        # call guards test; the matching return replays the call under s.
+        return entry, (pairs, sym, s)
 
     summaries: dict = {}
 
@@ -424,12 +359,14 @@ def determinize_direct(a: Ecidpda, *, prune: bool = True) -> Ecidpda:
         f = summaries.get(key)
         if f is None:
             f = summaries[key] = _pop_summary(
-                pairs, tables.call(bracket, s_push),
-                lambda pop: tables.ret(sym, pop, s_now))
+                pairs, tables.step(bracket, s_push),
+                lambda pop: tables.step(sym, s_now, pop))
         return frozenset((p, q2) for p, q in outer for q2 in f.get(q, ()))
 
     def bottom_step(pairs: PairSet, sym: str, s) -> PairSet:
-        table = tables.ret(sym, None, s)
+        # An unmatched return empties the well-nested suffix, so the anchors
+        # reset to the current states, mirroring the pair-set semantics.
+        table = tables.step(sym, s)
         return frozenset((q2, q2) for _, q in pairs for q2 in table.get(q, ()))
 
     def gamma_name(gamma) -> str:
@@ -454,7 +391,7 @@ def determinize_direct(a: Ecidpda, *, prune: bool = True) -> Ecidpda:
     return _run_blueprint(bp)
 
 
-# --- Construction 3: determinization without stack prediction clocks ----------
+# --- Construction 2: determinization without stack prediction clocks ----------
 
 
 def _mirror_atom(a: Atom) -> Atom:
@@ -470,7 +407,7 @@ def _mirrored_prediction_atoms(true_set: frozenset[Atom]) -> frozenset[Atom]:
         for a in true_set if a.clock.kind is ClockKind.STACK_HISTORY)
 
 
-def determinize_no_stack_prediction(a: Ecidpda, *, prune: bool = True) -> Ecidpda:
+def determinize_no_stack_prediction(a: Ecidpda) -> Ecidpda:
     """Determinization whose output never consults the stack prediction
     clock.
 
@@ -488,40 +425,42 @@ def determinize_no_stack_prediction(a: Ecidpda, *, prune: bool = True) -> Ecidpd
     tracked = (source_atoms - sp_atoms) | {_mirror_atom(x) for x in sp_atoms}
     universe = sorted_atoms(tracked)
     tables = _SourceTables(a)
-    call_atoms = _call_guard_atoms(a)
+    # A call symbol is read only by call rules, so its entry holds exactly
+    # the atoms its call guards test.
+    symbol_atoms = _symbol_guard_atoms(a)
     # Per-symbol universes: prediction atoms are dropped everywhere (they are
     # undefined off call positions and deferred at call positions); return
     # symbols additionally track the mirrors of every prediction atom some
     # call guard tests, since the deferred check happens at the pop.
-    deferred_mirrors = {_mirror_atom(x) for atoms_of in call_atoms.values()
-                        for x in atoms_of
+    deferred_mirrors = {_mirror_atom(x) for sym in a.alphabet.calls
+                        for x in symbol_atoms[sym]
                         if x.clock.kind is ClockKind.STACK_PREDICTION}
     universe_for = {}
-    for sym, atoms_of in _symbol_guard_atoms(a).items():
+    for sym, atoms_of in symbol_atoms.items():
         kept = {x for x in atoms_of
                 if x.clock.kind is not ClockKind.STACK_PREDICTION}
         if sym in a.alphabet.returns:
             kept |= deferred_mirrors
         universe_for[sym] = sorted_atoms(kept)
-    subsets_for = {sym: _feasible_subsets(u, prune)
+    subsets_for = {sym: _feasible_subsets(u)
                    for sym, u in universe_for.items()}
     sp_valuations = {
         sym: [frozenset(v) for size in range(len(sp) + 1)
               for v in itertools.combinations(sorted_atoms(sp), size)]
-        for sym, atoms_of in call_atoms.items()
-        for sp in [{x for x in atoms_of
+        for sym in a.alphabet.calls
+        for sp in [{x for x in symbol_atoms[sym]
                     if x.clock.kind is ClockKind.STACK_PREDICTION}]}
 
     State = tuple  # (PairSet, frozenset of survivors)
 
     def internal_step(state: State, sym: str, s) -> State:
         pairs, survivors = state
-        table = tables.internal(sym, s)
+        table = tables.step(sym, s)
         return (_advance_pairs(pairs, table), _advance_set(survivors, table))
 
     def call_step(state: State, sym: str, s):
         pairs, survivors = state
-        call_table = tables.call(sym, s)
+        call_table = tables.step(sym, s)
         new_survivors = frozenset(q2 for q in survivors
                                   for q2, _g in call_table.get(q, ()))
         # The matching return will replay the call under some valuation of
@@ -531,12 +470,11 @@ def determinize_no_stack_prediction(a: Ecidpda, *, prune: bool = True) -> Ecidpd
         sources = {q for _, q in pairs} | survivors
         anchors = {q2 for v in sp_valuations[sym]
                    for q in sources
-                   for q2, _g in tables.call(sym, s | v).get(q, ())}
+                   for q2, _g in tables.step(sym, s | v).get(q, ())}
         entry = frozenset((q, q) for q in anchors)
-        # Only call-guard atoms are consulted when the symbol is popped;
-        # stack prediction atoms never occur in s.
-        return ((entry, new_survivors),
-                (pairs, survivors, sym, s & call_atoms[sym]))
+        # Stack prediction atoms never occur in s; the matching return adds
+        # them back from the mirrored stack history truths.
+        return ((entry, new_survivors), (pairs, survivors, sym, s))
 
     summaries: dict = {}
 
@@ -548,8 +486,8 @@ def determinize_no_stack_prediction(a: Ecidpda, *, prune: bool = True) -> Ecidpd
         f = summaries.get(key)
         if f is None:
             f = summaries[key] = _pop_summary(
-                inner_pairs, tables.call(bracket, s_call),
-                lambda pop: tables.ret(sym, pop, s_now))
+                inner_pairs, tables.step(bracket, s_call),
+                lambda pop: tables.step(sym, s_now, pop))
         new_pairs = frozenset((p, q2) for p, q in outer_pairs
                               for q2 in f.get(q, ()))
         new_survivors = frozenset(q2 for q in outer_survivors
@@ -558,7 +496,7 @@ def determinize_no_stack_prediction(a: Ecidpda, *, prune: bool = True) -> Ecidpd
 
     def bottom_step(state: State, sym: str, s) -> State:
         _, survivors = state
-        after = _advance_set(survivors, tables.ret(sym, None, s))
+        after = _advance_set(survivors, tables.step(sym, s))
         # On an empty stack no bracket is pending, so the survivor set is the
         # exact current state set and the new anchors are exactly it.
         return (frozenset((q, q) for q in after), after)

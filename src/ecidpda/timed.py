@@ -170,7 +170,15 @@ class TimedString:
     @classmethod
     def from_json(cls, data: dict) -> "TimedString":
         alphabet = PartitionedAlphabet.from_json(data["alphabet"])
-        events = [(sym, parse_rational(t)) for sym, t in data["events"]]
+        events = []
+        for pos, event in enumerate(data["events"], start=1):
+            try:
+                sym, t = event
+                if not isinstance(t, str):
+                    raise ValueError(f"timestamp must be a string, got {t!r}")
+                events.append((sym, parse_rational(t)))
+            except (TypeError, ValueError) as exc:
+                raise TimedStringError(f"event {pos}: {exc}") from exc
         return cls(alphabet, events)
 
 

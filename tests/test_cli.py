@@ -129,6 +129,31 @@ class TestDeepGuard:
         assert "deeper than" in capsys.readouterr().err
 
 
+class TestBadInput:
+    def test_bad_guard_bound(self, bracket_files, tmp_path, capsys):
+        data = json.loads(Path(bracket_files["automaton"]).read_text())
+        data["transitions"][0]["guard"] = "hist(c) <= x"
+        path = tmp_path / "bad_bound.json"
+        path.write_text(json.dumps(data))
+        assert main(["check-det", str(path)]) == EXIT_ERROR
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("event", [["c", 1], ["c", "abc"], ["c"], 5])
+    def test_bad_json_event(self, event, bracket_files, tmp_path, capsys):
+        path = tmp_path / "bad_event.json"
+        path.write_text(json.dumps({
+            "alphabet": {"calls": ["<"], "returns": [">"],
+                         "internals": ["c", "d"]},
+            "events": [event]}))
+        assert main(["run", bracket_files["automaton"], str(path)]) \
+            == EXIT_ERROR
+        assert "error:" in capsys.readouterr().err
+
+    def test_directory_as_automaton(self, bracket_files, tmp_path, capsys):
+        assert main(["check-det", str(tmp_path)]) == EXIT_ERROR
+        assert "error:" in capsys.readouterr().err
+
+
 class TestDiff:
     def test_no_mismatches_and_reproducible(self, capsys):
         argv = ["diff", "--mode", "direct", "--trials", "5",
