@@ -17,10 +17,10 @@ from .timed import (Clock, ClockKind, PartitionedAlphabet, TimedString,
                     TimedStringError, clock_value, compute_matching, hist,
                     load_timed_string, longest_well_nested_suffix_start, pred,
                     stack_hist, stack_pred)
-from .witness import (SuffixPlan, TimingScheme, WitnessError, WitnessSpec,
-                      build_prefix, build_suffix, build_well_formed,
-                      build_witness_nfa, combined_spec, concat_timed,
-                      distinguishing_suffix, distinguishing_suffix_plan,
-                      is_valid, load_witness_spec, witness_alphabet)
+from .witness import (SuffixPlan, WitnessError, WitnessSpec, build_prefix,
+                      build_suffix, build_well_formed, build_witness_nfa,
+                      combined_spec, concat_timed, distinguishing_suffix,
+                      distinguishing_suffix_plan, enumerate_specs, is_valid,
+                      load_witness_spec, witness_alphabet)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

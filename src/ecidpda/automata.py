@@ -8,10 +8,9 @@ marker); serialized as `"pop": "bottom"`.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Iterable, Optional, Union
 
-from . import constraints as C
 from .constraints import (Atom, Constraint, TRUE, atoms, evaluate,
                           format_guard, mutually_exclusive, parse_guard,
                           PROVABLY_EXCLUSIVE)
@@ -20,6 +19,22 @@ from .timed import PartitionedAlphabet, TimedString
 
 class AutomatonError(ValueError):
     """Raised on malformed automata or inputs outside their alphabet."""
+
+
+def _json_str(data: dict, key: str, default: Optional[str] = None) -> str:
+    value = data[key] if default is None else data.get(key, default)
+    if not isinstance(value, str):
+        raise AutomatonError(f"{key!r} must be a string, got {value!r}")
+    return value
+
+
+def _json_strs(data: dict, key: str,
+               default: Optional[list] = None) -> list[str]:
+    value = data[key] if default is None else data.get(key, default)
+    if not (isinstance(value, list) and all(isinstance(v, str)
+                                            for v in value)):
+        raise AutomatonError(f"{key!r} must be a list of strings")
+    return value
 
 
 @dataclass(frozen=True)
@@ -136,22 +151,31 @@ class Ecidpda:
 
     @classmethod
     def from_json(cls, data: dict) -> "Ecidpda":
+        if not isinstance(data, dict):
+            raise AutomatonError("an automaton must be a JSON object")
         alphabet = PartitionedAlphabet.from_json(data["alphabet"])
+        transitions = data.get("transitions", [])
+        if not (isinstance(transitions, list)
+                and all(isinstance(entry, dict) for entry in transitions)):
+            raise AutomatonError("transitions must be a list of objects")
         rules: list[Rule] = []
-        for entry in data.get("transitions", []):
+        for entry in transitions:
             guard = parse_guard(entry.get("guard", "true"))
-            src, sym, dst = entry["from"], entry["symbol"], entry["to"]
+            src, sym, dst = (_json_str(entry, key)
+                             for key in ("from", "symbol", "to"))
             if sym in alphabet.calls:
-                rules.append(CallRule(src, sym, guard, dst, entry["push"]))
+                rules.append(CallRule(src, sym, guard, dst,
+                                      _json_str(entry, "push")))
             elif sym in alphabet.returns:
-                pop = entry.get("pop", "bottom")
+                pop = _json_str(entry, "pop", "bottom")
                 rules.append(ReturnRule(src, sym,
                                         None if pop == "bottom" else pop,
                                         guard, dst))
             else:
                 rules.append(InternalRule(src, sym, guard, dst))
-        return cls(alphabet, data["states"], data["initial"],
-                   data["accepting"], data.get("stack", []), rules)
+        return cls(alphabet, *(_json_strs(data, key)
+                               for key in ("states", "initial", "accepting")),
+                   _json_strs(data, "stack", []), rules)
 
     def save(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:

@@ -7,7 +7,6 @@ Exit codes: 0 = accept / success, 1 = reject / mismatch found,
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import random
 import sys
@@ -21,9 +20,8 @@ from .determinize import (determinize_direct, determinize_no_stack_prediction,
                           determinize_untimed)
 from .generate import random_automaton, random_timed_string
 from .timed import TimedStringError, load_timed_string
-from .witness import (TimingScheme, WitnessError, WitnessSpec,
-                      build_well_formed, build_witness_nfa, is_valid,
-                      load_witness_spec)
+from .witness import (WitnessError, build_well_formed, build_witness_nfa,
+                      enumerate_specs, is_valid, load_witness_spec)
 
 EXIT_ACCEPT = 0
 EXIT_REJECT = 1
@@ -137,21 +135,6 @@ def cmd_diff(args) -> int:
     return EXIT_ACCEPT if not mismatches else EXIT_REJECT
 
 
-def _enumerate_specs(n: int, k: int, m: int):
-    numbers = list(range(n))
-    pairs = list(itertools.product(numbers, repeat=2))
-    relations = [frozenset(sub) for size in range(len(pairs) + 1)
-                 for sub in itertools.combinations(pairs, size)]
-    events = list(range(1, k + 1))
-    subsets = [frozenset(sub) for size in range(k + 1)
-               for sub in itertools.combinations(events, size)]
-    for s in itertools.product(numbers, repeat=m + 1):
-        for rel_vec in itertools.product(relations, repeat=m):
-            for x_vec in itertools.product(subsets, repeat=m):
-                for y_vec in itertools.product(subsets, repeat=m):
-                    yield WitnessSpec(n, k, m, s, rel_vec, x_vec, y_vec)
-
-
 def cmd_witness(args) -> int:
     if args.exhaustive and (args.n > 3 or args.k > 2 or args.m > 2):
         print("exhaustive mode is limited to n <= 3, k <= 2, m <= 2",
@@ -161,13 +144,12 @@ def cmd_witness(args) -> int:
     if args.nfa_out:
         nfa.save(args.nfa_out)
     det = determinize_direct(nfa)
-    scheme = TimingScheme()
     disagreements = 0
 
     if args.spec:
         specs = [load_witness_spec(args.spec)]
     elif args.exhaustive:
-        specs = list(_enumerate_specs(args.n, args.k, args.m))
+        specs = list(enumerate_specs(args.n, args.k, args.m))
     else:
         print("pass --spec FILE or --exhaustive", file=sys.stderr)
         return EXIT_ERROR
@@ -175,7 +157,7 @@ def cmd_witness(args) -> int:
     print(f"{'spec':<50} {'valid':<6} {'nfa':<6} {'det':<6}")
     checked = 0
     for spec in specs:
-        w = build_well_formed(spec, scheme)
+        w = build_well_formed(spec)
         expected = is_valid(spec)
         got_nfa = simulate(nfa, w).accepted
         got_det = simulate(det, w).accepted

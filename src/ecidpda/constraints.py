@@ -15,8 +15,8 @@ from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
 from .rat import format_rational, parse_rational
-from .timed import (Clock, ClockKind, TimedString, clock_value, hist, pred,
-                    stack_hist, stack_pred)
+from .timed import (Clock, TimedString, clock_value, hist, pred, stack_hist,
+                    stack_pred)
 
 
 class ConstraintError(ValueError):
@@ -405,4 +405,6 @@ class _GuardParser:
 
 
 def parse_guard(text: str) -> Constraint:
+    if not isinstance(text, str):
+        raise ConstraintError(f"a guard must be a string, got {text!r}")
     return _GuardParser(text).parse()

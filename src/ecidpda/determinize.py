@@ -22,9 +22,9 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Optional
+from typing import Callable, Hashable, Optional
 
-from .constraints import (Atom, Constraint, TRUE, atoms as guard_atoms,
+from .constraints import (Atom, TRUE, atoms as guard_atoms,
                           assignment_feasible, eval_under, sorted_atoms, xi)
 from .automata import (AutomatonError, CallRule, Ecidpda, InternalRule,
                        ReturnRule, Rule, RuleIndex)

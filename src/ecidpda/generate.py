@@ -4,12 +4,10 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Optional
 
 from .automata import CallRule, Ecidpda, InternalRule, ReturnRule, Rule
-from .constraints import (And, Constraint, Not, Or, TRUE, atom, desugar)
-from .timed import (Clock, ClockKind, PartitionedAlphabet, TimedString, hist,
-                    pred, stack_hist, stack_pred)
+from .constraints import And, Constraint, Not, Or, TRUE, atom
+from .timed import Clock, ClockKind, PartitionedAlphabet, TimedString
 
 DEFAULT_ALPHABET = PartitionedAlphabet({"<"}, {">"}, {"c", "d"})
 

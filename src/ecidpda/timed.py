@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -27,6 +27,10 @@ from .rat import format_rational, parse_rational
 
 class TimedStringError(ValueError):
     """Raised on malformed alphabets, events or timestamps."""
+
+
+def _is_string_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
 
 
 @dataclass(frozen=True)
@@ -62,8 +66,13 @@ class PartitionedAlphabet:
 
     @classmethod
     def from_json(cls, data: dict) -> "PartitionedAlphabet":
-        return cls(data.get("calls", []), data.get("returns", []),
-                   data.get("internals", []))
+        if not isinstance(data, dict):
+            raise TimedStringError("an alphabet must be a JSON object")
+        classes = [data.get(name, [])
+                   for name in ("calls", "returns", "internals")]
+        if not all(_is_string_list(c) for c in classes):
+            raise TimedStringError("alphabet classes must be lists of strings")
+        return cls(*classes)
 
 
 class ClockKind(Enum):
@@ -169,15 +178,20 @@ class TimedString:
 
     @classmethod
     def from_json(cls, data: dict) -> "TimedString":
+        if not isinstance(data, dict):
+            raise TimedStringError("a timed string must be a JSON object")
         alphabet = PartitionedAlphabet.from_json(data["alphabet"])
+        if not isinstance(data["events"], list):
+            raise TimedStringError("events must be a list")
         events = []
         for pos, event in enumerate(data["events"], start=1):
+            if not (_is_string_list(event) and len(event) == 2):
+                raise TimedStringError(
+                    f"event {pos}: expected [symbol, timestamp] strings, "
+                    f"got {event!r}")
             try:
-                sym, t = event
-                if not isinstance(t, str):
-                    raise ValueError(f"timestamp must be a string, got {t!r}")
-                events.append((sym, parse_rational(t)))
-            except (TypeError, ValueError) as exc:
+                events.append((event[0], parse_rational(event[1])))
+            except ValueError as exc:
                 raise TimedStringError(f"event {pos}: {exc}") from exc
         return cls(alphabet, events)
 
@@ -250,20 +264,6 @@ def clock_value(w: TimedString, i: int, clock: Clock) -> Optional[Fraction]:
         return events[i - 1][1] - events[at[k - 1] - 1][1] if k else None
     k = bisect_right(at, i)
     return events[at[k] - 1][1] - events[i - 1][1] if k < len(at) else None
-
-
-def is_well_nested_span(w: TimedString, start: int, end: int) -> bool:
-    """Whether positions start..end (inclusive) form a well-nested string."""
-    depth = 0
-    for i in range(start, end + 1):
-        sym = w.symbol(i)
-        if sym in w.alphabet.calls:
-            depth += 1
-        elif sym in w.alphabet.returns:
-            depth -= 1
-            if depth < 0:
-                return False
-    return depth == 0
 
 
 def longest_well_nested_suffix_start(w: TimedString, i: int) -> int:

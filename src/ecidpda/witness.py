@@ -10,23 +10,33 @@ than one unit before the matching right bracket, while a mandatory prefix
 listing every event symbol sits more than one unit before the bracket.
 The string is valid when (s_i, s_{i+1}) is in R_i and X_i meets Y_i at
 every level.
+
+Three constants fix the timing: symbols outside the member lists are STEP
+apart, a prefix ends STEP + FAR_GAP (> 1) before its bracket, and the member
+list lies within the NEAR_GAP (< 1) before it.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .automata import CallRule, Ecidpda, InternalRule, ReturnRule, Rule
 from .constraints import TRUE, desugar
-from .rat import parse_rational
 from .timed import PartitionedAlphabet, TimedString, hist
+
+FAR_GAP = Fraction(3, 2)
+NEAR_GAP = Fraction(1, 2)
+STEP = Fraction(1, 4)
+
+Events = list[tuple[str, Fraction]]
 
 
 class WitnessError(ValueError):
-    """Raised on out-of-range witness parameters or unschedulable timing."""
+    """Raised on out-of-range or malformed witness parameters."""
 
 
 def event_symbol(i: int) -> str:
@@ -55,10 +65,9 @@ class WitnessSpec:
             raise WitnessError("n, k and m must be positive")
         if len(self.s) != self.m + 1:
             raise WitnessError(f"need {self.m + 1} numbers, got {len(self.s)}")
-        for group, length in (("relations", self.m), ("x_sets", self.m),
-                              ("y_sets", self.m)):
-            if len(getattr(self, group)) != length:
-                raise WitnessError(f"{group} must have length {length}")
+        for group in ("relations", "x_sets", "y_sets"):
+            if len(getattr(self, group)) != self.m:
+                raise WitnessError(f"{group} must have length {self.m}")
         if any(not 0 <= v < self.n for v in self.s):
             raise WitnessError("numbers must lie in 0..n-1")
         for rel in self.relations:
@@ -82,18 +91,31 @@ class WitnessSpec:
 
     @classmethod
     def from_json(cls, data: dict) -> "WitnessSpec":
-        def indices(names: Iterable[str]) -> list[int]:
-            out = []
-            for name in names:
-                if not (name.startswith("e") and name[1:].isdigit()):
-                    raise WitnessError(f"not an event symbol: {name!r}")
-                out.append(int(name[1:]))
-            return out
+        def lists_of(value, ok) -> bool:
+            return isinstance(value, list) and all(
+                isinstance(v, list) and all(map(ok, v)) for v in value)
 
-        return cls.make(data["n"], data["k"], data["m"], data["s"],
-                        data["R"],
-                        [indices(x) for x in data["X"]],
-                        [indices(y) for y in data["Y"]])
+        def is_int(v) -> bool:
+            return isinstance(v, int)
+
+        def is_pair(v) -> bool:
+            return isinstance(v, list) and len(v) == 2 and all(map(is_int, v))
+
+        def is_event(v) -> bool:
+            return isinstance(v, str) and v[:1] == "e" and v[1:].isdecimal()
+
+        if not (isinstance(data, dict)
+                and all(is_int(data[key]) for key in "nkm")
+                and isinstance(data["s"], list) and all(map(is_int, data["s"]))
+                and lists_of(data["R"], is_pair)
+                and lists_of(data["X"], is_event)
+                and lists_of(data["Y"], is_event)):
+            raise WitnessError("malformed witness spec: want integers in n, "
+                               "k, m and s, [i, j] pairs in R and event "
+                               "symbols in X and Y")
+        return cls.make(data["n"], data["k"], data["m"], data["s"], data["R"],
+                        *([[int(e[1:]) for e in sets] for sets in data[key]]
+                          for key in "XY"))
 
     def to_json(self) -> dict:
         return {
@@ -102,26 +124,6 @@ class WitnessSpec:
             "X": [[event_symbol(e) for e in sorted(x)] for x in self.x_sets],
             "Y": [[event_symbol(e) for e in sorted(y)] for y in self.y_sets],
         }
-
-
-@dataclass(frozen=True)
-class TimingScheme:
-    """Placement of a v-block around its bracket: the mandatory prefix ends
-    `far_gap` (> 1) before the bracket, the member list starts `near_gap`
-    (< 1) before it, plain filler symbols advance by `step`.
-    """
-
-    far_gap: Fraction = Fraction(3, 2)
-    near_gap: Fraction = Fraction(1, 2)
-    step: Fraction = Fraction(1, 4)
-
-    def __post_init__(self):
-        if not self.far_gap > 1:
-            raise WitnessError("far_gap must exceed 1 time unit")
-        if not 0 < self.near_gap < 1:
-            raise WitnessError("near_gap must lie strictly between 0 and 1")
-        if self.step <= 0:
-            raise WitnessError("step must be positive")
 
 
 def encode_relation(relation: Iterable[tuple[int, int]], n: int) -> list[str]:
@@ -145,100 +147,78 @@ def encode_set(members: Iterable[int], k: int) -> list[str]:
             + [event_symbol(i) for i in members])
 
 
-@dataclass(frozen=True)
-class _Segment:
-    kind: str        # "v", "bracket", "filler"
-    symbols: tuple[str, ...]
-    members: int = 0  # for "v": how many trailing symbols are the member list
+def _filler(events: Events, symbols: Iterable[str], t: Fraction) -> Fraction:
+    """Append the symbols STEP apart after t; the last timestamp."""
+    for sym in symbols:
+        t += STEP
+        events.append((sym, t))
+    return t
 
 
-def _spec_segments(s: tuple[int, ...],
-                   relations: Sequence[Iterable[tuple[int, int]]],
-                   x_sets: Sequence[Iterable[int]],
-                   y_sets: Sequence[Iterable[int]],
-                   n: int, k: int) -> list[_Segment]:
-    m = len(relations)
-    segs: list[_Segment] = []
-    for i in range(m):
-        vx = encode_set(x_sets[i], k)
-        segs.append(_Segment("v", tuple(vx), len(vx) - k))
-        segs.append(_Segment("bracket", ("<",)))
-        segs.append(_Segment("filler", tuple(encode_relation(relations[i], n))))
-    for i in range(m, 0, -1):
-        segs.append(_Segment("filler", ("c",) * s[i]))
-        vy = encode_set(y_sets[i - 1], k)
-        segs.append(_Segment("v", tuple(vy), len(vy) - k))
-        segs.append(_Segment("bracket", (">",)))
-    segs.append(_Segment("filler", ("c",) * s[0]))
-    return segs
+def _v_block(events: Events, members: Iterable[int], k: int, bracket: str,
+             t: Fraction) -> Fraction:
+    """Append all k event symbols, then the members, then the bracket, so
+    that at the bracket hist(e_i) < 1 exactly for the members; the bracket's
+    timestamp.
+    """
+    symbols = encode_set(members, k)
+    at = _filler(events, symbols[:k], t) + STEP + FAR_GAP
+    near = symbols[k:]
+    gap = NEAR_GAP / (len(near) + 1)
+    events.extend((sym, at - NEAR_GAP + j * gap) for j, sym in enumerate(near))
+    events.append((bracket, at))
+    return at
 
 
-def _schedule(segments: list[_Segment], scheme: TimingScheme,
-              start: Fraction) -> list[tuple[str, Fraction]]:
-    """Assign strictly increasing timestamps realizing the v-block timing."""
-    events: list[tuple[str, Fraction]] = []
-    cursor = Fraction(start)
-    idx = 0
-    while idx < len(segments):
-        seg = segments[idx]
-        if seg.kind == "v":
-            if idx + 1 >= len(segments) or segments[idx + 1].kind != "bracket":
-                raise WitnessError("v-block not followed by a bracket")
-            prefix = seg.symbols[:len(seg.symbols) - seg.members]
-            members = seg.symbols[len(seg.symbols) - seg.members:]
-            # Prefix strictly more than far_gap before the bracket, member
-            # list inside (bracket - near_gap, bracket).
-            bracket_time = (cursor + scheme.step * (len(prefix) + 1)
-                            + scheme.far_gap)
-            t = cursor
-            for sym in prefix:
-                t += scheme.step
-                events.append((sym, t))
-            if bracket_time - t <= 1:
-                raise WitnessError("scheme step too large: prefix too close "
-                                   "to its bracket")
-            mstep = scheme.near_gap / (len(members) + 1)
-            t = bracket_time - scheme.near_gap
-            for sym in members:
-                events.append((sym, t))
-                t += mstep
-            bracket_sym = segments[idx + 1].symbols[0]
-            events.append((bracket_sym, bracket_time))
-            cursor = bracket_time
-            idx += 2
-        elif seg.kind == "bracket":
-            cursor += scheme.step
-            events.append((seg.symbols[0], cursor))
-            idx += 1
-        else:
-            for sym in seg.symbols:
-                cursor += scheme.step
-                events.append((sym, cursor))
-            idx += 1
+def _prefix_events(spec: WitnessSpec) -> Events:
+    """w1 = v_{X_1} < u_{R_1} ... v_{X_m} < u_{R_m}, after time 0."""
+    events: Events = []
+    t = Fraction(0)
+    for members, relation in zip(spec.x_sets, spec.relations):
+        t = _v_block(events, members, spec.k, "<", t)
+        t = _filler(events, encode_relation(relation, spec.n), t)
     return events
 
 
-def build_well_formed(spec: WitnessSpec,
-                      scheme: TimingScheme = TimingScheme()) -> TimedString:
+def _suffix_events(s: Sequence[int], y_sets: Sequence[Iterable[int]], k: int,
+                   t: Fraction) -> Events:
+    """w2 = c^{s_{m+1}} v_{Y_m} > ... c^{s_2} v_{Y_1} > c^{s_1}, after t."""
+    events: Events = []
+    for i in range(len(y_sets), 0, -1):
+        t = _filler(events, "c" * s[i], t)
+        t = _v_block(events, y_sets[i - 1], k, ">", t)
+    _filler(events, "c" * s[0], t)
+    return events
+
+
+def build_well_formed(spec: WitnessSpec) -> TimedString:
     """The full timed well-formed string for a parameter vector."""
-    segments = _spec_segments(spec.s, spec.relations, spec.x_sets,
-                              spec.y_sets, spec.n, spec.k)
-    return TimedString(witness_alphabet(spec.k),
-                       _schedule(segments, scheme, Fraction(0)))
+    prefix = _prefix_events(spec)
+    suffix = _suffix_events(spec.s, spec.y_sets, spec.k, prefix[-1][1])
+    return TimedString(witness_alphabet(spec.k), prefix + suffix)
 
 
-def build_prefix(spec: WitnessSpec, scheme: TimingScheme = TimingScheme(),
-                 start: Fraction = Fraction(0)) -> TimedString:
+def build_prefix(spec: WitnessSpec) -> TimedString:
     """Only the first half w1 = v_{X_1} < u_{R_1} ... v_{X_m} < u_{R_m}."""
-    segs: list[_Segment] = []
-    for i in range(spec.m):
-        vx = encode_set(spec.x_sets[i], spec.k)
-        segs.append(_Segment("v", tuple(vx), len(vx) - spec.k))
-        segs.append(_Segment("bracket", ("<",)))
-        segs.append(_Segment("filler",
-                             tuple(encode_relation(spec.relations[i], spec.n))))
-    return TimedString(witness_alphabet(spec.k),
-                       _schedule(segs, scheme, start))
+    return TimedString(witness_alphabet(spec.k), _prefix_events(spec))
+
+
+def enumerate_specs(n: int, k: int, m: int) -> Iterator[WitnessSpec]:
+    """Every parameter vector for n, k and m: numbers, then relations (by
+    size), then X sets and Y sets (by size), each in lexicographic order.
+    """
+    numbers = list(range(n))
+    pairs = list(itertools.product(numbers, repeat=2))
+    relations = [frozenset(sub) for size in range(len(pairs) + 1)
+                 for sub in itertools.combinations(pairs, size)]
+    events = list(range(1, k + 1))
+    subsets = [frozenset(sub) for size in range(k + 1)
+               for sub in itertools.combinations(events, size)]
+    for s in itertools.product(numbers, repeat=m + 1):
+        for rel_vec in itertools.product(relations, repeat=m):
+            for x_vec in itertools.product(subsets, repeat=m):
+                for y_vec in itertools.product(subsets, repeat=m):
+                    yield WitnessSpec(n, k, m, s, rel_vec, x_vec, y_vec)
 
 
 def is_valid(spec: WitnessSpec) -> bool:
@@ -459,19 +439,10 @@ def distinguishing_suffix_plan(spec1: WitnessSpec, spec2: WitnessSpec
     return SuffixPlan(tuple(chain), tuple(y_sets), owner)
 
 
-def build_suffix(plan: SuffixPlan, n: int, k: int,
-                 scheme: TimingScheme = TimingScheme(),
-                 start: Fraction = Fraction(0)) -> TimedString:
-    """The timed w2 for a suffix plan, scheduled from `start` onward."""
-    m = len(plan.y_sets)
-    segs: list[_Segment] = []
-    for i in range(m, 0, -1):
-        segs.append(_Segment("filler", ("c",) * plan.s[i]))
-        vy = encode_set(plan.y_sets[i - 1], k)
-        segs.append(_Segment("v", tuple(vy), len(vy) - k))
-        segs.append(_Segment("bracket", (">",)))
-    segs.append(_Segment("filler", ("c",) * plan.s[0]))
-    return TimedString(witness_alphabet(k), _schedule(segs, scheme, start))
+def build_suffix(plan: SuffixPlan, k: int, start: Fraction) -> TimedString:
+    """The timed w2 for a suffix plan, its first event after `start`."""
+    return TimedString(witness_alphabet(k),
+                       _suffix_events(plan.s, plan.y_sets, k, start))
 
 
 def concat_timed(left: TimedString, right: TimedString) -> TimedString:
@@ -480,17 +451,14 @@ def concat_timed(left: TimedString, right: TimedString) -> TimedString:
     return TimedString(left.alphabet, left.events + right.events)
 
 
-def distinguishing_suffix(spec1: WitnessSpec, spec2: WitnessSpec,
-                          scheme: TimingScheme = TimingScheme()
+def distinguishing_suffix(spec1: WitnessSpec, spec2: WitnessSpec
                           ) -> Optional[TimedString]:
     """The timed separating suffix, scheduled after both prefixes end."""
     plan = distinguishing_suffix_plan(spec1, spec2)
     if plan is None:
         return None
-    end1 = build_prefix(spec1, scheme).events[-1][1]
-    end2 = build_prefix(spec2, scheme).events[-1][1]
-    return build_suffix(plan, spec1.n, spec1.k, scheme,
-                        max(end1, end2))
+    end = max(_prefix_events(sp)[-1][1] for sp in (spec1, spec2))
+    return build_suffix(plan, spec1.k, end)
 
 
 def combined_spec(spec: WitnessSpec, plan: SuffixPlan) -> WitnessSpec:

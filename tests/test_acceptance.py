@@ -21,12 +21,11 @@ from ecidpda import (DETERMINISTIC, And, Or, Not, atom, build_witness_nfa,
                      is_valid, pair_semantics_oracle, pred, simulate,
                      stack_hist, stack_pred)
 from ecidpda.automata import RuleIndex
-from ecidpda.cli import _enumerate_specs
-from ecidpda.constraints import ClockKind
 from ecidpda.determinize import parse_pair_set_name, parse_survivor_name
 from ecidpda.generate import random_automaton, random_timed_string
-from ecidpda.timed import PartitionedAlphabet, TimedString
-from ecidpda.witness import WitnessSpec, is_left_total, is_right_total
+from ecidpda.timed import ClockKind, PartitionedAlphabet, TimedString
+from ecidpda.witness import (WitnessSpec, enumerate_specs, is_left_total,
+                             is_right_total)
 
 F = Fraction
 
@@ -202,7 +201,7 @@ def test_criterion_6_witness_soundness(capsys):
     nfa_index, det_index = RuleIndex(nfa), RuleIndex(det)
     checked = bad = 0
     for m in (1, 2):
-        for spec in _enumerate_specs(n, k, m):
+        for spec in enumerate_specs(n, k, m):
             w = build_well_formed(spec)
             expected = is_valid(spec)
             checked += 1

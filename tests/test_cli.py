@@ -9,9 +9,8 @@ import pytest
 from ecidpda import (DETERMINISTIC, Ecidpda, TRUE, embed_untimed,
                      is_deterministic)
 from ecidpda.cli import EXIT_ACCEPT, EXIT_ERROR, EXIT_REJECT, main
-from ecidpda.constraints import ClockKind
 from ecidpda.generate import random_automaton
-from ecidpda.timed import PartitionedAlphabet
+from ecidpda.timed import ClockKind, PartitionedAlphabet
 
 
 @pytest.fixture
@@ -151,6 +150,52 @@ class TestBadInput:
 
     def test_directory_as_automaton(self, bracket_files, tmp_path, capsys):
         assert main(["check-det", str(tmp_path)]) == EXIT_ERROR
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("patch", [
+        {"events": 5},
+        {"alphabet": []},
+        {"alphabet": {"calls": "<", "returns": [">"], "internals": ["c"]}},
+    ], ids=["events", "alphabet", "class-as-string"])
+    def test_bad_json_string_shape(self, patch, bracket_files, tmp_path,
+                                   capsys):
+        path = tmp_path / "bad_string.json"
+        path.write_text(json.dumps({
+            "alphabet": {"calls": ["<"], "returns": [">"],
+                         "internals": ["c", "d"]},
+            "events": [["<", "1/2"], [">", "3/2"]], **patch}))
+        assert main(["run", bracket_files["automaton"], str(path)]) \
+            == EXIT_ERROR
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("damage", [
+        lambda a: {**a, "states": 5},
+        lambda a: {**a, "transitions": [5]},
+        lambda a: {**a, "transitions": [{**a["transitions"][0], "guard": 3}]},
+        lambda a: {**a, "transitions": [{**a["transitions"][0], "to": [1]}]},
+        lambda a: {**a, "alphabet": {**a["alphabet"], "internals": "cd"}},
+        lambda a: [],
+    ], ids=["states", "transition", "guard", "target", "class-as-string",
+            "top-level"])
+    def test_bad_json_automaton_shape(self, damage, bracket_files, tmp_path,
+                                      capsys):
+        data = json.loads(Path(bracket_files["automaton"]).read_text())
+        path = tmp_path / "bad_automaton.json"
+        path.write_text(json.dumps(damage(data)))
+        assert main(["check-det", str(path)]) == EXIT_ERROR
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("patch", [
+        {"n": "2"}, {"X": [5]}, {"X": [[5]]}, {"R": [[0]]},
+        {"R": [[[0, 1, 1]]]}, {"s": "01"}, {"X": [["e\u00b2"]]},
+    ], ids=["n", "X", "X-member", "R", "R-triple", "s", "X-superscript"])
+    def test_bad_witness_spec_shape(self, patch, tmp_path, capsys):
+        path = tmp_path / "bad_spec.json"
+        path.write_text(json.dumps({
+            "n": 2, "k": 1, "m": 1, "s": [0, 1],
+            "R": [[[0, 1]]], "X": [["e1"]], "Y": [["e1"]], **patch}))
+        code = main(["witness", "--n", "2", "--k", "1", "--spec", str(path)])
+        assert code == EXIT_ERROR
         assert "error:" in capsys.readouterr().err
 
 

@@ -11,10 +11,10 @@ from ecidpda import (AutomatonError, DETERMINISTIC, Ecidpda, InternalRule,
                      embed_untimed, is_deterministic, pair_semantics_oracle,
                      simulate, stack_pred)
 from ecidpda.automata import RuleIndex
-from ecidpda.constraints import ClockKind
 from ecidpda.determinize import (pair_set_name, parse_pair_set_name,
                                  parse_survivor_name)
 from ecidpda.generate import random_automaton, random_timed_string
+from ecidpda.timed import ClockKind
 
 from .conftest import timed
 

@@ -1,17 +1,16 @@
 """The witness family: encodings, validity, the checker NFA, separation."""
 
-import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from ecidpda import (TimingScheme, WitnessError, WitnessSpec, build_prefix,
+from ecidpda import (SuffixPlan, WitnessError, WitnessSpec, build_prefix,
                      build_suffix, build_well_formed, build_witness_nfa,
                      clock_value, combined_spec, concat_timed,
                      determinize_direct, distinguishing_suffix,
-                     distinguishing_suffix_plan, hist, is_deterministic,
-                     is_valid, simulate, witness_alphabet, DETERMINISTIC)
+                     distinguishing_suffix_plan, enumerate_specs, hist,
+                     is_deterministic, is_valid, simulate, DETERMINISTIC)
 from ecidpda.witness import (encode_relation, encode_set, is_left_total,
                              is_right_total, stack_symbol)
 
@@ -20,21 +19,6 @@ F = Fraction
 
 def spec(n, k, m, s, rels, xs, ys) -> WitnessSpec:
     return WitnessSpec.make(n, k, m, s, rels, xs, ys)
-
-
-def all_specs(n, k, m):
-    """Every parameter vector for small n, k, m."""
-    numbers = list(itertools.product(range(n), repeat=m + 1))
-    pairs = list(itertools.product(range(n), repeat=2))
-    relations = [frozenset(r) for size in range(len(pairs) + 1)
-                 for r in itertools.combinations(pairs, size)]
-    events = [frozenset(x) for size in range(k + 1)
-              for x in itertools.combinations(range(1, k + 1), size)]
-    for s in numbers:
-        for rels in itertools.product(relations, repeat=m):
-            for xs in itertools.product(events, repeat=m):
-                for ys in itertools.product(events, repeat=m):
-                    yield WitnessSpec(n, k, m, s, rels, xs, ys)
 
 
 class TestEncodings:
@@ -118,13 +102,20 @@ class TestBuild:
         assert full.symbols[:len(pre)] == pre.symbols
         assert full.events[:len(pre)] == pre.events
 
-    def test_scheme_validation(self):
-        with pytest.raises(WitnessError):
-            TimingScheme(far_gap=F(1, 2))
-        with pytest.raises(WitnessError):
-            TimingScheme(near_gap=F(3, 2))
-        with pytest.raises(WitnessError):
-            TimingScheme(step=F(0))
+    def test_exact_events(self):
+        w = build_well_formed(spec(2, 1, 1, (0, 1), [{(0, 1)}], [{1}], [{1}]))
+        assert w.events == (
+            ("e1", F(1, 4)), ("e1", F(3, 2)), ("<", F(2)), ("#", F(9, 4)),
+            ("b", F(5, 2)), ("c", F(11, 4)), ("e1", F(3)), ("e1", F(17, 4)),
+            (">", F(19, 4)))
+
+    @pytest.mark.parametrize("n,k,m", [(2, 1, 2), (1, 2, 1)])
+    def test_prefix_then_suffix(self, n, k, m):
+        for sp in enumerate_specs(n, k, m):
+            pre = build_prefix(sp)
+            post = build_suffix(SuffixPlan(sp.s, sp.y_sets, 1), sp.k,
+                                start=pre.events[-1][1])
+            assert build_well_formed(sp) == concat_timed(pre, post)
 
     def test_concat_rejects_mixed_alphabets(self):
         a1 = build_well_formed(spec(1, 1, 1, (0, 0), [{(0, 0)}],
@@ -152,7 +143,7 @@ class TestCheckerNfa:
     @pytest.mark.parametrize("n,k,m", [(2, 1, 1), (1, 2, 1), (2, 1, 2)])
     def test_exhaustive_agreement(self, n, k, m):
         nfa = build_witness_nfa(n, k)
-        for sp in all_specs(n, k, m):
+        for sp in enumerate_specs(n, k, m):
             w = build_well_formed(sp)
             assert simulate(nfa, w).accepted == is_valid(sp), sp.to_json()
 
@@ -161,7 +152,7 @@ class TestCheckerNfa:
         det = determinize_direct(nfa)
         assert is_deterministic(det) == DETERMINISTIC
         rng = random.Random(500)
-        specs = list(all_specs(2, 1, 1))
+        specs = list(enumerate_specs(2, 1, 1))
         for sp in rng.sample(specs, 60):
             w = build_well_formed(sp)
             assert simulate(det, w).accepted == is_valid(sp), sp.to_json()
