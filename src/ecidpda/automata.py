@@ -184,8 +184,12 @@ class Ecidpda:
 
     @classmethod
     def load(cls, path: str) -> "Ecidpda":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+        except (UnicodeDecodeError, RecursionError) as exc:
+            raise AutomatonError(f"{path}: unreadable JSON: {exc}") from exc
+        return cls.from_json(data)
 
 
 Configuration = tuple[str, tuple[str, ...]]  # (state, stack with top first)

@@ -296,14 +296,19 @@ def load_timed_string(path_or_text: str, *, is_text: bool = False) -> TimedStrin
     by three directive lines `calls: ...`, `returns: ...`, `internals: ...`
     listing the alphabet.
     """
-    if is_text:
-        content = path_or_text
-    else:
-        with open(path_or_text, "r", encoding="utf-8") as fh:
-            content = fh.read()
-    stripped = content.lstrip()
-    if stripped.startswith("{"):
-        return TimedString.from_json(json.loads(content))
+    try:
+        if is_text:
+            content = path_or_text
+        else:
+            with open(path_or_text, "r", encoding="utf-8") as fh:
+                content = fh.read()
+        data = None
+        if content.lstrip().startswith("{"):
+            data = json.loads(content)
+    except (UnicodeDecodeError, RecursionError) as exc:
+        raise TimedStringError(f"unreadable timed string: {exc}") from exc
+    if data is not None:
+        return TimedString.from_json(data)
     classes = {"calls": [], "returns": [], "internals": []}
     events: list[tuple[str, Fraction]] = []
     for lineno, raw in enumerate(content.splitlines(), start=1):

@@ -468,5 +468,9 @@ def combined_spec(spec: WitnessSpec, plan: SuffixPlan) -> WitnessSpec:
 
 
 def load_witness_spec(path: str) -> WitnessSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        return WitnessSpec.from_json(json.load(fh))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (UnicodeDecodeError, RecursionError) as exc:
+        raise WitnessError(f"{path}: unreadable JSON: {exc}") from exc
+    return WitnessSpec.from_json(data)

@@ -36,3 +36,9 @@ def test_traced_campaign_run_counts_each_construction_once():
     metrics = traced_metrics("campaign")
     for layer in ("untimed", "direct", "nostackpred"):
         assert metrics[f"determinize.{layer}.calls"]["value"] == 2000
+
+
+def test_traced_witness_run_sees_the_determinization_layers():
+    metrics = traced_metrics("witness")
+    assert metrics["determinize.direct.calls"]["value"] > 0
+    assert metrics["constraints.eval_under.calls"]["value"] > 0

@@ -198,6 +198,22 @@ class TestBadInput:
         assert code == EXIT_ERROR
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content", [
+        b"\xff\xfe{\x00}\x00",
+        b'{"events": ' + b"[" * 50_000 + b"]" * 50_000 + b"}",
+    ], ids=["utf16-bom", "deep"])
+    @pytest.mark.parametrize("loader", ["automaton", "string", "spec"])
+    def test_unreadable_json(self, loader, content, bracket_files, tmp_path,
+                             capsys):
+        # Undecodable bytes and nesting too deep for the JSON decoder.
+        path = str(tmp_path / "unreadable.json")
+        Path(path).write_bytes(content)
+        argv = {"automaton": ["check-det", path],
+                "string": ["run", bracket_files["automaton"], path],
+                "spec": ["witness", "--n", "2", "--k", "1", "--spec", path]}
+        assert main(argv[loader]) == EXIT_ERROR
+        assert "error:" in capsys.readouterr().err
+
 
 class TestDiff:
     def test_no_mismatches_and_reproducible(self, capsys):

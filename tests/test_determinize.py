@@ -1,6 +1,10 @@
 """The three determinization constructions and the pair-set oracle."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -8,8 +12,8 @@ import ecidpda.determinize as determinize_module
 from ecidpda import (AutomatonError, DETERMINISTIC, Ecidpda, InternalRule,
                      TRUE, atom, atoms, desugar, determinize_direct,
                      determinize_no_stack_prediction, determinize_untimed,
-                     embed_untimed, is_deterministic, pair_semantics_oracle,
-                     simulate, stack_pred)
+                     build_witness_nfa, embed_untimed, is_deterministic,
+                     pair_semantics_oracle, simulate, stack_pred)
 from ecidpda.automata import RuleIndex
 from ecidpda.determinize import (pair_set_name, parse_pair_set_name,
                                  parse_survivor_name)
@@ -196,6 +200,63 @@ class TestPairOracle:
                     assert parse_pair_set_name(state) == want, (i, w.symbols)
 
 
+# (n, k) -> (states, stack symbols, rules, eval_under calls) of the witness
+# NFA's determinization; both timed constructions give the same figures.
+WITNESS_OUTPUTS = {
+    (1, 2): (7, 35, 530, 144),
+    (2, 1): (131, 115, 5_965, 59),
+    (1, 3): (7, 185, 11_036, 788),
+    (2, 2): (131, 805, 164_132, 289),
+}
+
+
+class TestWitnessOutputs:
+    @pytest.mark.parametrize("mode", ["direct", "nostackpred"])
+    @pytest.mark.parametrize("nk", list(WITNESS_OUTPUTS),
+                             ids=lambda nk: "%d-%d" % nk)
+    def test_sizes_and_guard_evaluations(self, nk, mode, monkeypatch):
+        # The source tables evaluate each guard once per truth set, however
+        # often a step is consulted; the count shows it.
+        calls = []
+        real = determinize_module.eval_under
+
+        def counting(*args):
+            calls.append(None)
+            return real(*args)
+
+        monkeypatch.setattr(determinize_module, "eval_under", counting)
+        det = MODES[mode](build_witness_nfa(*nk))
+        assert (len(det.states), len(det.stack), len(det.rules),
+                len(calls)) == WITNESS_OUTPUTS[nk]
+
+
+_HASH_SEED_SCRIPT = """
+import json, random, sys
+from ecidpda import (build_witness_nfa, determinize_direct,
+                     determinize_no_stack_prediction)
+from ecidpda.generate import random_automaton
+outputs = [determinize_direct(build_witness_nfa(2, 1)).to_json()]
+rng = random.Random(0)
+for _ in range(100):
+    a = random_automaton(rng, max_states=2, max_stack=2, max_atoms=2)
+    outputs.append(determinize_no_stack_prediction(a).to_json())
+json.dump(outputs, sys.stdout)
+"""
+
+
+def test_output_independent_of_hash_seed():
+    src = str(Path(determinize_module.__file__).resolve().parent.parent)
+    runs = []
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        runs.append(subprocess.run(
+            [sys.executable, "-c", _HASH_SEED_SCRIPT], env=env,
+            capture_output=True, check=True, timeout=300).stdout)
+    assert runs[0] == runs[1]
+
+
 class TestNames:
     def test_pair_set_round_trip(self):
         pairs = frozenset([("q0", "q1"), ("q2", "q0")])
@@ -203,3 +264,16 @@ class TestNames:
 
     def test_empty_pair_set(self):
         assert parse_pair_set_name(pair_set_name(frozenset())) == frozenset()
+
+    @pytest.mark.parametrize("mode", ["direct", "nostackpred"])
+    def test_output_names_are_sorted(self, mode):
+        # The witness NFA's state names sort differently from the order it
+        # lists them in; output names must still list pairs and survivors
+        # in pair_set_name's sorted order.
+        det = MODES[mode](build_witness_nfa(2, 1))
+        for name in det.states:
+            assert name.split("|")[0] == pair_set_name(
+                parse_pair_set_name(name))
+            if mode == "nostackpred":
+                survivors = sorted(parse_survivor_name(name))
+                assert name.endswith(f"|R{{{','.join(survivors)}}}")
