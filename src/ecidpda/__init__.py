@@ -11,7 +11,8 @@ from .constraints import (And, Atom, Constraint, ConstraintError, FALSE, Not,
                           atom, atoms, desugar, eval_under, evaluate,
                           format_guard, mutually_exclusive, parse_guard, xi)
 from .determinize import (determinize_direct, determinize_no_stack_prediction,
-                          determinize_untimed, pair_semantics_oracle)
+                          determinize_untimed, pair_semantics_oracle,
+                          size_bounds)
 from .rat import format_rational, parse_rational
 from .timed import (Clock, ClockKind, PartitionedAlphabet, TimedString,
                     TimedStringError, clock_value, compute_matching, hist,

@@ -37,7 +37,7 @@ def _json_strs(data: dict, key: str,
     return value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InternalRule:
     src: str
     symbol: str
@@ -45,7 +45,7 @@ class InternalRule:
     dst: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CallRule:
     src: str
     symbol: str
@@ -54,7 +54,7 @@ class CallRule:
     push: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReturnRule:
     src: str
     symbol: str

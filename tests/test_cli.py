@@ -215,6 +215,28 @@ class TestBadInput:
         assert "error:" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("input_kind", ["line", "timestamp", "guard"])
+    def test_long_input_gives_short_error(self, input_kind, bracket_files,
+                                          tmp_path, capsys):
+        # The error quotes the offending input; the CLI caps its length.
+        long_token = "x" * 100_000
+        path = tmp_path / "long.txt"
+        if input_kind == "line":
+            path.write_text("[" * 50_000 + "]" * 50_000 + "\n")
+        elif input_kind == "timestamp":
+            path.write_text(f"calls: <\nreturns: >\ninternals: c d\n"
+                            f"c {long_token}\n")
+        else:
+            data = json.loads(Path(bracket_files["automaton"]).read_text())
+            data["transitions"][0]["guard"] = long_token
+            path.write_text(json.dumps(data))
+        argv = (["check-det", str(path)] if input_kind == "guard"
+                else ["run", bracket_files["automaton"], str(path)])
+        assert main(argv) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert len(err.encode()) < 1024
+
 class TestDiff:
     def test_no_mismatches_and_reproducible(self, capsys):
         argv = ["diff", "--mode", "direct", "--trials", "5",

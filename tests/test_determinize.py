@@ -1,5 +1,7 @@
 """The three determinization constructions and the pair-set oracle."""
 
+import hashlib
+import json
 import os
 import random
 import subprocess
@@ -228,6 +230,37 @@ class TestWitnessOutputs:
         det = MODES[mode](build_witness_nfa(*nk))
         assert (len(det.states), len(det.stack), len(det.rules),
                 len(calls)) == WITNESS_OUTPUTS[nk]
+
+
+def _digest(det: Ecidpda) -> str:
+    """sha256 of the whole output's compact JSON: names and rule order too."""
+    text = json.dumps(det.to_json(), separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestPinnedOutputs:
+    """Exact outputs, pinned so that a refactor of the constructions shows
+    any change of a name, a rule or the rule order."""
+
+    @pytest.mark.parametrize("mode, want", [
+        ("direct",
+         "37e35f4c41fd42a1681c43d2f6b5c4e1b2ca815f2001d8495f0707aee6af7083"),
+        ("nostackpred",
+         "c7da7df87bb3826f7399c991471d52c0c3f207fd054696832a12210c1f4d514f"),
+    ])
+    def test_witness_2_1(self, mode, want):
+        assert _digest(MODES[mode](build_witness_nfa(2, 1))) == want
+
+    def test_random_draws(self):
+        rng = random.Random(0)
+        digests = []
+        for i in range(300):
+            mode = ("untimed", "direct", "nostackpred")[i % 3]
+            a = random_automaton(rng, max_states=2, max_stack=2, max_atoms=2,
+                                 timed=(mode != "untimed"))
+            digests.append(_digest(MODES[mode](a)))
+        assert hashlib.sha256("".join(digests).encode()).hexdigest() == (
+            "0de8405dc963fa2ce8cbc1c09a04e5705a6df23998ceb69ccda0d394d8bc44ba")
 
 
 _HASH_SEED_SCRIPT = """
