@@ -11,9 +11,9 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
-from .constraints import (Atom, Constraint, TRUE, atoms, evaluate,
-                          format_guard, mutually_exclusive, parse_guard,
-                          PROVABLY_EXCLUSIVE)
+from .constraints import (Atom, Constraint, TRUE, atoms, eval_with,
+                          evaluate, format_guard, mutually_exclusive,
+                          parse_guard, PROVABLY_EXCLUSIVE)
 from .timed import PartitionedAlphabet, TimedString
 
 
@@ -203,7 +203,12 @@ class RunResult:
 
 
 class RuleIndex:
-    """Rules of an automaton indexed for configuration-set stepping."""
+    """Rules of an automaton indexed for configuration-set stepping.
+
+    Within one step each guard object and each atom object is evaluated at
+    most once, however many configurations and rules share it; the truths
+    are dropped when the step ends.
+    """
 
     def __init__(self, a: Ecidpda):
         self.automaton = a
@@ -224,13 +229,21 @@ class RuleIndex:
         """All successor configurations when reading position i of w."""
         a = self.automaton
         sym = w.symbol(i)
-        guard_truth: dict[int, bool] = {}
+        # Truths of the guards and atoms read at position i, by identity:
+        # every node is held by a rule for the whole step.
+        memo: dict[int, bool] = {}
+
+        def atom_truth(atom: Atom) -> bool:
+            truth = memo.get(id(atom))
+            if truth is None:
+                truth = memo[id(atom)] = evaluate(atom, w, i)
+            return truth
 
         def holds(guard: Constraint) -> bool:
-            key = id(guard)
-            if key not in guard_truth:
-                guard_truth[key] = evaluate(guard, w, i)
-            return guard_truth[key]
+            truth = memo.get(id(guard))
+            if truth is None:
+                truth = memo[id(guard)] = eval_with(guard, atom_truth)
+            return truth
 
         nxt: set[Configuration] = set()
         if sym in a.alphabet.internals:
@@ -264,8 +277,9 @@ def simulate(a: Ecidpda, w: TimedString,
     some final configuration's state to be accepting, any stack contents.
     Pass a prebuilt RuleIndex to amortize indexing across many strings.
     """
+    alphabet = a.alphabet.symbols
     for sym in w.symbols:
-        if sym not in a.alphabet:
+        if sym not in alphabet:
             raise AutomatonError(f"symbol {sym!r} outside the automaton alphabet")
     if index is None:
         index = RuleIndex(a)

@@ -94,7 +94,7 @@ def desugar(op: str, clock: Clock, bound) -> Constraint:
 
 def evaluate(phi: Constraint, w: TimedString, i: int) -> bool:
     """Truth of a constraint on w at position i (undefined clock => atom false)."""
-    return _eval(phi, lambda a: _atom_truth(a, w, i))
+    return eval_with(phi, lambda a: _atom_truth(a, w, i))
 
 
 def _atom_truth(a: Atom, w: TimedString, i: int) -> bool:
@@ -104,17 +104,18 @@ def _atom_truth(a: Atom, w: TimedString, i: int) -> bool:
     return value <= a.bound if a.op == "<=" else value >= a.bound
 
 
-def _eval(phi: Constraint, truth: Callable[[Atom], bool]) -> bool:
+def eval_with(phi: Constraint, truth: Callable[[Atom], bool]) -> bool:
+    """Truth of a constraint given the truth of each of its atoms."""
     if isinstance(phi, _Const):
         return phi.value
     if isinstance(phi, Atom):
         return truth(phi)
     if isinstance(phi, And):
-        return _eval(phi.left, truth) and _eval(phi.right, truth)
+        return eval_with(phi.left, truth) and eval_with(phi.right, truth)
     if isinstance(phi, Or):
-        return _eval(phi.left, truth) or _eval(phi.right, truth)
+        return eval_with(phi.left, truth) or eval_with(phi.right, truth)
     if isinstance(phi, Not):
-        return not _eval(phi.inner, truth)
+        return not eval_with(phi.inner, truth)
     raise ConstraintError(f"not a constraint node: {phi!r}")
 
 
@@ -152,7 +153,7 @@ def eval_under(phi: Constraint, true_atoms: Iterable[Atom],
                 f"atoms outside the universe: {sorted(map(str, missing))}")
         if not true_set <= uni:
             raise ConstraintError("assignment is not a subset of the universe")
-    return _eval(phi, lambda a: a in true_set)
+    return eval_with(phi, lambda a: a in true_set)
 
 
 def sorted_atoms(universe: Iterable[Atom]) -> tuple[Atom, ...]:
@@ -249,15 +250,17 @@ def format_guard(phi: Constraint) -> str:
 
 
 def _format(phi: Constraint, prec: int) -> str:
+    # `and` and `or` parse left-associative, so a right operand of the same
+    # operator is bracketed: one precedence level higher than the left.
     if isinstance(phi, _Const):
         return "true" if phi.value else "false"
     if isinstance(phi, Atom):
         return f"{phi.clock} {phi.op} {format_rational(phi.bound)}"
     if isinstance(phi, Or):
-        text = f"{_format(phi.left, 1)} or {_format(phi.right, 1)}"
+        text = f"{_format(phi.left, 1)} or {_format(phi.right, 2)}"
         return f"({text})" if prec > 1 else text
     if isinstance(phi, And):
-        text = f"{_format(phi.left, 2)} and {_format(phi.right, 2)}"
+        text = f"{_format(phi.left, 2)} and {_format(phi.right, 3)}"
         return f"({text})" if prec > 2 else text
     if isinstance(phi, Not):
         return f"not {_format(phi.inner, 3)}"

@@ -49,13 +49,17 @@ class PartitionedAlphabet:
         if (self.calls & self.returns or self.calls & self.internals
                 or self.returns & self.internals):
             raise TimedStringError("alphabet classes are not disjoint")
+        # Kept in the instance dict, outside the dataclass fields, so the
+        # union takes no part in eq, hash or repr.
+        object.__setattr__(self, "_symbols",
+                           self.calls | self.returns | self.internals)
 
     @property
     def symbols(self) -> frozenset[str]:
-        return self.calls | self.returns | self.internals
+        return self._symbols
 
     def __contains__(self, symbol: str) -> bool:
-        return symbol in self.symbols
+        return symbol in self._symbols
 
     def to_json(self) -> dict:
         return {
@@ -138,8 +142,9 @@ class TimedString:
     def __init__(self, alphabet: PartitionedAlphabet,
                  events: Sequence[tuple[str, Fraction]]):
         object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "events",
-                           tuple((sym, Fraction(t)) for sym, t in events))
+        object.__setattr__(self, "events", tuple(
+            (sym, t if type(t) is Fraction else Fraction(t))
+            for sym, t in events))
         prev = None
         for pos, (sym, t) in enumerate(self.events, start=1):
             if sym not in alphabet:

@@ -1,14 +1,22 @@
 """The automaton model: simulation, determinism check, serialization."""
 
+import gc
+import importlib.util
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from ecidpda import (AutomatonError, CallRule, DETERMINISTIC, Ecidpda,
-                     InternalRule, NondeterminismWitness, ReturnRule, TRUE,
-                     atom, desugar, embed_untimed, hist, is_deterministic,
-                     parse_guard, simulate, stack_pred, xi)
+import ecidpda.automata as automata_module
+from ecidpda import (And, AutomatonError, CallRule, DETERMINISTIC,
+                     Ecidpda, InternalRule, NondeterminismWitness, Not, Or,
+                     ReturnRule, TRUE, atom, desugar, determinize_direct,
+                     determinize_no_stack_prediction, determinize_untimed,
+                     embed_untimed, evaluate, hist, is_deterministic,
+                     parse_guard, simulate, stack_hist, stack_pred, xi)
+from ecidpda.automata import RuleIndex
 from ecidpda.constraints import sorted_atoms
 from ecidpda.generate import random_automaton, random_timed_string
 from ecidpda.timed import PartitionedAlphabet, TimedString
@@ -16,6 +24,7 @@ from ecidpda.timed import PartitionedAlphabet, TimedString
 from .conftest import timed
 
 F = Fraction
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def trivial_automaton(alphabet) -> Ecidpda:
@@ -104,6 +113,147 @@ class TestSimulate:
                 w = random_timed_string(rng, a.alphabet)
                 if simulate(a, w).accepted:
                     assert simulate(bigger, w).accepted
+
+
+def reference_step(a: Ecidpda, groups: dict, configs, w: TimedString,
+                   i: int) -> set:
+    """Successors of `configs` at position i of w, evaluating each rule of
+    `groups` (a.rules_by_key()) with its own guard."""
+    sym = w.symbol(i)
+    nxt = set()
+    for state, stack in configs:
+        if sym in a.alphabet.returns:
+            key = (state, sym, stack[0] if stack else None)
+        else:
+            key = (state, sym)
+        for rule in groups.get(key, ()):
+            if not evaluate(rule.guard, w, i):
+                continue
+            if isinstance(rule, CallRule):
+                nxt.add((rule.dst, (rule.push,) + stack))
+            elif isinstance(rule, ReturnRule):
+                nxt.add((rule.dst, stack[1:]))
+            else:
+                nxt.add((rule.dst, stack))
+    return nxt
+
+
+def assert_steps_match_reference(a: Ecidpda, strings, rng: random.Random
+                                 ) -> None:
+    """At every position, step the configurations of the run together with
+    a sample of states over every stack top and the empty stack."""
+    index, groups = RuleIndex(a), a.rules_by_key()
+    tops = [()] + [(g,) for g in sorted(a.stack)]
+    every = sorted((q, top) for q in a.states for top in tops)
+    for w in strings:
+        configs = {(q, ()) for q in a.initial}
+        for i in range(1, len(w) + 1):
+            configs |= set(rng.sample(every, min(len(every), 20)))
+            want = reference_step(a, groups, configs, w, i)
+            assert index.step(configs, w, i) == want, (a.to_json(),
+                                                       w.to_json())
+            configs = want
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    """The benchmark's workload module, for its monitor automata and
+    bracket-heavy strings."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", ROOT / "bench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module    # its dataclasses look themselves up
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestStepMemo:
+    """RuleIndex.step evaluates each guard and atom object at most once per
+    position and keeps nothing once the step returns."""
+
+    @pytest.mark.parametrize("mode", ["untimed", "direct", "nostackpred"])
+    def test_step_matches_per_rule_evaluation(self, mode):
+        construct = {"untimed": determinize_untimed,
+                     "direct": determinize_direct,
+                     "nostackpred": determinize_no_stack_prediction}[mode]
+        rng = random.Random(41)
+        for _ in range(25):
+            a = random_automaton(rng, max_states=3, max_atoms=2,
+                                 timed=(mode != "untimed"))
+            strings = [random_timed_string(rng, a.alphabet)
+                       for _ in range(6)]
+            assert_steps_match_reference(a, strings, rng)
+            assert_steps_match_reference(construct(a), strings, rng)
+
+    def test_monitor_automata_match_per_rule_evaluation(self, workloads):
+        rng = random.Random(42)
+        strings = [workloads.bracket_string(rng, 50) for _ in range(2)]
+        for spec in workloads.MONITOR_AUTOMATA:
+            a = workloads.monitor_automaton(spec)
+            for form in (a, determinize_direct(a),
+                         determinize_no_stack_prediction(a)):
+                assert_steps_match_reference(form, strings, rng)
+
+    def test_shared_guards_and_equal_atoms(self, bracket_alphabet,
+                                           monkeypatch):
+        shared = And(atom(hist("c"), "<=", 1),
+                     Not(atom(stack_hist(), ">=", 2)))
+        twin = atom(hist("c"), "<=", 1)    # equal to shared's atom, not it
+        assert twin == shared.left and twin is not shared.left
+        a = Ecidpda(bracket_alphabet, ["q0", "q1", "q2"], ["q0", "q1"],
+                    ["q2"], ["g"], [
+                        InternalRule("q0", "c", shared, "q1"),
+                        InternalRule("q1", "c", shared, "q2"),
+                        InternalRule("q1", "c", Or(twin, shared.left), "q0"),
+                        InternalRule("q2", "c", Not(twin), "q2"),
+                        CallRule("q0", "<", shared, "q0", "g"),
+                        CallRule("q1", "<", shared, "q2", "g"),
+                        ReturnRule("q0", ">", "g", shared, "q1"),
+                        ReturnRule("q2", ">", "g", Not(shared), "q1"),
+                        ReturnRule("q1", ">", None, shared.right, "q2"),
+                    ])
+        reads, guards = [], []
+        eval_with = automata_module.eval_with
+
+        def counted_evaluate(phi, w, i):
+            reads.append((id(phi), i))
+            return evaluate(phi, w, i)
+
+        def counted_eval_with(phi, truth):
+            guards.append(id(phi))
+            return eval_with(phi, truth)
+
+        monkeypatch.setattr(automata_module, "evaluate", counted_evaluate)
+        monkeypatch.setattr(automata_module, "eval_with", counted_eval_with)
+        index, groups = RuleIndex(a), a.rules_by_key()
+        rng = random.Random(43)
+        configs = {(q, stack) for q in a.states
+                   for stack in [(), ("g",), ("g", "g")]}
+        total = 0
+        for _ in range(20):
+            w = random_timed_string(rng, a.alphabet)
+            for i in range(1, len(w) + 1):
+                reads.clear()
+                guards.clear()
+                assert index.step(configs, w, i) == reference_step(
+                    a, groups, configs, w, i)
+                assert len(set(reads)) == len(reads)
+                assert len(set(guards)) == len(guards)
+                total += len(reads)
+        assert total > 0
+
+    def test_simulate_leaves_no_cyclic_garbage(self, workloads):
+        a = determinize_direct(
+            workloads.monitor_automaton(workloads.MONITOR_AUTOMATA[2]))
+        index = RuleIndex(a)
+        w = workloads.bracket_string(random.Random(44), 200)
+        gc.collect()
+        gc.disable()
+        try:
+            simulate(a, w, index)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestIsDeterministic:

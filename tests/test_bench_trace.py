@@ -29,6 +29,9 @@ def test_traced_monitor_run_sees_the_clock_layers():
     metrics = traced_metrics("monitor")
     assert metrics["timed.compute_matching.calls"]["value"] > 0
     assert metrics["timed.clock_value.calls"]["value"] > 0
+    # Simulation evaluates atoms only, so every evaluate call is one read.
+    assert (metrics["constraints.evaluate.calls"]["value"]
+            == metrics["timed.clock_value.calls"]["value"])
 
 
 def test_traced_campaign_run_counts_each_construction_once():

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ecidpda import (And, Atom, ConstraintError, FALSE, Not, Or,
                      POSSIBLY_OVERLAPPING, PROVABLY_EXCLUSIVE, TRUE, atom,
@@ -182,6 +183,20 @@ class TestMutuallyExclusive:
         assert assignment_feasible(universe, frozenset())
 
 
+# Any guard the grammar can express: atoms over each clock kind with bounds
+# that format as integers, decimals or p/q, constants, and, or and not.
+GUARDS = st.recursive(
+    st.builds(Atom,
+              st.sampled_from([hist("c"), pred("d"), stack_hist(),
+                               stack_pred()]),
+              st.sampled_from(["<=", ">="]),
+              st.fractions(min_value=0, max_value=10, max_denominator=12))
+    | st.sampled_from([TRUE, FALSE]),
+    lambda sub: st.builds(And, sub, sub) | st.builds(Or, sub, sub)
+    | st.builds(Not, sub),
+    max_leaves=12)
+
+
 class TestGuardText:
     @pytest.mark.parametrize("text", [
         "true",
@@ -194,6 +209,18 @@ class TestGuardText:
     def test_round_trip(self, text):
         phi = parse_guard(text)
         assert parse_guard(format_guard(phi)) == phi
+
+    @settings(max_examples=500)
+    @given(GUARDS)
+    def test_format_is_the_inverse_of_parse(self, phi):
+        assert parse_guard(format_guard(phi)) == phi
+
+    def test_right_nested_operands_keep_their_shape(self):
+        for op in (And, Or):
+            phi = op(A, op(B, C))
+            assert parse_guard(format_guard(phi)) == phi
+        assert format_guard(And(And(A, B), C)) == (
+            "hist(c) <= 1 and pred(d) >= 0.5 and stackhist <= 2")
 
     def test_sugar_is_desugared(self):
         assert parse_guard("hist(c) < 1") == desugar("<", hist("c"), 1)
