@@ -7,6 +7,7 @@ marker); serialized as `"pop": "bottom"`.
 
 from __future__ import annotations
 
+import gc
 import json
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
@@ -64,6 +65,29 @@ class ReturnRule:
 
 
 Rule = Union[InternalRule, CallRule, ReturnRule]
+
+
+class collector_paused:
+    """Context manager that pauses CPython's cyclic garbage collector for
+    its body and restores the caller's setting however the body ends.
+
+    The determinizations and RuleIndex build under it: they allocate many
+    long-lived objects and create no reference cycles, so a collection
+    triggered while they build frees nothing; it only re-scans live
+    objects, the whole heap when it is a full one.  Only the outermost of
+    nested pauses turns the collector back on.
+    """
+
+    __slots__ = ("_paused",)
+
+    def __enter__(self) -> None:
+        self._paused = gc.isenabled()
+        if self._paused:
+            gc.disable()
+
+    def __exit__(self, *exc_info) -> None:
+        if self._paused:
+            gc.enable()
 
 
 @dataclass(frozen=True)
@@ -215,14 +239,17 @@ class RuleIndex:
         self.internal: dict[tuple[str, str], list[InternalRule]] = {}
         self.call: dict[tuple[str, str], list[CallRule]] = {}
         self.ret: dict[tuple[str, str, Optional[str]], list[ReturnRule]] = {}
-        for rule in a.rules:
-            if isinstance(rule, InternalRule):
-                self.internal.setdefault((rule.src, rule.symbol), []).append(rule)
-            elif isinstance(rule, CallRule):
-                self.call.setdefault((rule.src, rule.symbol), []).append(rule)
-            else:
-                self.ret.setdefault((rule.src, rule.symbol, rule.pop),
-                                    []).append(rule)
+        with collector_paused():
+            for rule in a.rules:
+                if isinstance(rule, InternalRule):
+                    self.internal.setdefault((rule.src, rule.symbol),
+                                             []).append(rule)
+                elif isinstance(rule, CallRule):
+                    self.call.setdefault((rule.src, rule.symbol),
+                                         []).append(rule)
+                else:
+                    self.ret.setdefault((rule.src, rule.symbol, rule.pop),
+                                        []).append(rule)
 
     def step(self, configs: Iterable[Configuration], w: TimedString,
              i: int) -> set[Configuration]:

@@ -97,9 +97,12 @@ def cmd_check_det(args) -> int:
 
 
 def cmd_diff(args) -> int:
-    if args.trials < 1:
-        print("trials must be at least 1", file=sys.stderr)
-        return EXIT_ERROR
+    for flag, least in (("trials", 1), ("strings", 1), ("max_states", 1),
+                        ("max_stack", 1), ("max_atoms", 0), ("max_len", 0)):
+        if getattr(args, flag) < least:
+            print(f"--{flag.replace('_', '-')} must be at least {least}",
+                  file=sys.stderr)
+            return EXIT_ERROR
     build = _MODES[args.mode]
     master = random.Random(args.seed)
     mismatches = []
@@ -131,16 +134,12 @@ def cmd_diff(args) -> int:
 
 
 def cmd_witness(args) -> int:
+    # Every flag is checked before the determinization, whose size is
+    # exponential in n and k.
     if args.exhaustive and (args.n > 3 or args.k > 2 or args.m > 2):
         print("exhaustive mode is limited to n <= 3, k <= 2, m <= 2",
               file=sys.stderr)
         return EXIT_ERROR
-    nfa = build_witness_nfa(args.n, args.k)
-    if args.nfa_out:
-        nfa.save(args.nfa_out)
-    det = determinize_direct(nfa)
-    disagreements = 0
-
     if args.spec:
         specs = [load_witness_spec(args.spec)]
     elif args.exhaustive:
@@ -148,6 +147,11 @@ def cmd_witness(args) -> int:
     else:
         print("pass --spec FILE or --exhaustive", file=sys.stderr)
         return EXIT_ERROR
+    nfa = build_witness_nfa(args.n, args.k)
+    if args.nfa_out:
+        nfa.save(args.nfa_out)
+    det = determinize_direct(nfa)
+    disagreements = 0
 
     print(f"{'spec':<50} {'valid':<6} {'nfa':<6} {'det':<6}")
     checked = 0

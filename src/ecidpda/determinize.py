@@ -32,8 +32,10 @@ context below the call (Alur and Madhusudan, Visibly pushdown languages,
 STOC 2004), so the summaries are computed once per (inner pair set,
 bracket, pushed truth set), the empty ones are dropped, and each of the
 rest is applied to the outer pair set of every stack symbol that pushed
-that bracket and truth set.  Names are built only at the boundary, from a
-per-bit "(p,q)" table: ascending bits give pair_set_name's sorted order.
+that bracket and truth set.  Return truth sets that select the same
+relations share one summary, composed and applied once.  Names are built
+only at the boundary, from a per-bit "(p,q)" table: ascending bits give
+pair_set_name's sorted order.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from typing import Hashable, Iterator, Optional, Sequence
 from .constraints import (Atom, TRUE, atoms as guard_atoms,
                           assignment_feasible, eval_under, sorted_atoms, xi)
 from .automata import (AutomatonError, CallRule, Ecidpda, InternalRule,
-                       ReturnRule, Rule, RuleIndex)
+                       ReturnRule, Rule, RuleIndex, collector_paused)
 from .timed import (Clock, ClockKind, TimedString,
                     longest_well_nested_suffix_start)
 
@@ -275,15 +277,19 @@ class _Direct:
             pairs >>= n
         return out
 
-    def summaries(self, inner: int, bracket: str, s_push) -> list:
-        """The non-empty pop summaries [(return symbol, S, summary)] of an
-        inner pair set under a pushed bracket and truth set, in emission
-        order, memoized: they do not depend on the context below the call.
+    def summaries(self, inner: int, bracket: str, s_push) -> tuple:
+        """The non-empty pop summaries of an inner pair set under a pushed
+        bracket and truth set, memoized: they do not depend on the context
+        below the call.  Returns (distinct, uses): the distinct summary
+        objects, and [(return symbol, S, index in distinct)] in emission
+        order.
 
         A summary relates each source state at the call to where (call,
         inner behaviour, return) can lead from it.  A return relation is
         built only for a pushed symbol whose call reaches an anchor of
         inner, so each guard is evaluated only when the pop can be consulted.
+        Truth sets that replay the same pushes and select the same return
+        relations share one summary, composed once.
         """
         key = (inner, bracket, s_push)
         found = self._summaries.get(key)
@@ -295,20 +301,37 @@ class _Direct:
         for p, targets in enumerate(exits):
             if targets:
                 anchors |= 1 << p
-        found = self._summaries[key] = []
+        distinct: list[_Relation] = []
+        uses: list[tuple] = []
+        found = self._summaries[key] = (distinct, uses)
+        # Push lists and relations are memoized objects, so their identities
+        # name a composition: its summary's index in distinct, or None if it
+        # is empty.  Equal summaries are one object (see relation).
+        composed: dict[tuple[int, ...], Optional[int]] = {}
+        index_of: dict[int, int] = {}
         for sym in self.returns:
             for s in self.guards[sym]:
-                out = [0] * self.n
-                for pop, call_rows, reach in self.pushes(
-                        bracket, self.call_truths(s_push, s)):
-                    if reach & anchors:
-                        ret = self.step(sym, s, pop)
+                pushes = self.pushes(bracket, self.call_truths(s_push, s))
+                consulted = [(call_rows, self.step(sym, s, pop))
+                             for pop, call_rows, reach in pushes
+                             if reach & anchors]
+                same = (id(pushes), *[id(ret) for _, ret in consulted])
+                if same not in composed:
+                    out = [0] * self.n
+                    for call_rows, ret in consulted:
                         after = [ret[targets] for targets in exits]
                         for q, entries in enumerate(call_rows):
                             if entries & anchors:
                                 out[q] |= _image(after, entries)
-                if any(out):
-                    found.append((sym, s, self.relation(tuple(out))))
+                    composed[same] = None
+                    if any(out):
+                        f = self.relation(tuple(out))
+                        if id(f) not in index_of:
+                            index_of[id(f)] = len(distinct)
+                            distinct.append(f)
+                        composed[same] = index_of[id(f)]
+                if composed[same] is not None:
+                    uses.append((sym, s, composed[same]))
         return found
 
     def call_truths(self, s_push, s_now):
@@ -332,9 +355,9 @@ class _Direct:
         """[(return symbol, S, live state)] of popping gamma in pairs."""
         outer, bracket, s_push = gamma
         rows = self.rows(outer)
-        return [(sym, s, nxt)
-                for sym, s, f in self.summaries(pairs, bracket, s_push)
-                for nxt in (_apply(rows, f),) if nxt]
+        distinct, uses = self.summaries(pairs, bracket, s_push)
+        after = [_apply(rows, f) for f in distinct]
+        return [(sym, s, after[i]) for sym, s, i in uses if after[i]]
 
     def bottom_step(self, pairs: int, sym: str, s) -> int:
         # An unmatched return empties the well-nested suffix, so the anchors
@@ -366,116 +389,119 @@ class _Direct:
         collection walked keeps insertion order, so the rule order does not
         depend on the hash seed.
         """
-        guards = self.guards
-        internals = sorted(self.alphabet.internals)
-        calls = sorted(self.alphabet.calls)
+        with collector_paused():
+            guards = self.guards
+            internals = sorted(self.alphabet.internals)
+            calls = sorted(self.alphabet.calls)
 
-        # Dicts with None values serve as insertion-ordered sets.
-        levels: dict[int, dict] = {}              # level key -> states seen in it
-        gammas_at: dict[int, list] = {}           # entry level -> gammas popping to it
-        pushed_from: dict[Hashable, dict] = {}    # gamma -> levels that push it
-        pop_results: dict[Hashable, dict] = {}    # gamma -> pop successor states
-        internal_exp: dict = {}
-        call_exp: dict = {}
-        names: dict[int, str] = {}
-        gnames: dict[Hashable, str] = {}
-        paired: set = set()                       # processed (gamma, state) pairs
-        rules: list[Rule] = []
-        worklist: list[tuple[int, int]] = []
+            # Dicts with None values serve as insertion-ordered sets.
+            levels: dict[int, dict] = {}            # level key -> states in it
+            gammas_at: dict[int, list] = {}         # entry level -> gammas
+            pushed_from: dict[Hashable, dict] = {}  # gamma -> pushing levels
+            pop_results: dict[Hashable, dict] = {}  # gamma -> pop successors
+            internal_exp: dict = {}
+            call_exp: dict = {}
+            names: dict[int, str] = {}
+            gnames: dict[Hashable, str] = {}
+            paired: set = set()          # processed (gamma, state) pairs
+            rules: list[Rule] = []
+            worklist: list[tuple[int, int]] = []
 
-        def name_of(state: int) -> str:
-            name = names.get(state)
-            if name is None:
-                name = names[state] = self.state_name(state)
-            return name
+            def name_of(state: int) -> str:
+                name = names.get(state)
+                if name is None:
+                    name = names[state] = self.state_name(state)
+                return name
 
-        def gname_of(gamma: Hashable) -> str:
-            name = gnames.get(gamma)
-            if name is None:
-                name = gnames[gamma] = self.gamma_name(gamma)
-            return name
+            def gname_of(gamma: Hashable) -> str:
+                name = gnames.get(gamma)
+                if name is None:
+                    name = gnames[gamma] = self.gamma_name(gamma)
+                return name
 
-        def visit(level: int, state: int) -> None:
-            # The dead state is absorbing and never accepts: omitting the
-            # transition into it rejects exactly the same strings.
-            if not state:
-                return
-            bucket = levels.setdefault(level, {})
-            if state not in bucket:
-                bucket[state] = None
-                worklist.append((level, state))
+            def visit(level: int, state: int) -> None:
+                # The dead state is absorbing and never accepts: omitting the
+                # transition into it rejects exactly the same strings.
+                if not state:
+                    return
+                bucket = levels.setdefault(level, {})
+                if state not in bucket:
+                    bucket[state] = None
+                    worklist.append((level, state))
 
-        def pop_with(state: int, gamma: Hashable) -> None:
-            # Each (gamma, state) pair is expanded exactly once, so the
-            # emitted return rules need no deduplication.
-            if (gamma, state) in paired:
-                return
-            paired.add((gamma, state))
-            name = name_of(state)
-            gname = gnames[gamma]
-            results = pop_results[gamma]
-            for sym, s, nxt in self.pop_steps(state, gamma):
-                rules.append(ReturnRule(name, sym, gname, guards[sym][s],
-                                        name_of(nxt)))
-                if nxt not in results:
-                    results[nxt] = None
-                    for outer in pushed_from[gamma]:
-                        visit(outer, nxt)
-
-        start = self.start(self.initial)
-        visit(_BOTTOM, start)
-        while worklist:
-            level, state = worklist.pop()
-            if state not in internal_exp:
+            def pop_with(state: int, gamma: Hashable) -> None:
+                # Each (gamma, state) pair is expanded exactly once, so the
+                # emitted return rules need no deduplication.
+                if (gamma, state) in paired:
+                    return
+                paired.add((gamma, state))
                 name = name_of(state)
-                internal_exp[state] = [
-                    (InternalRule(name, sym, guard, name_of(nxt)), nxt)
-                    for sym in internals for s, guard in guards[sym].items()
-                    for nxt in (self.internal_step(state, sym, s),) if nxt]
-                call_exp[state] = [
-                    (CallRule(name, sym, guard, name_of(entry),
-                              gname_of(gamma)), entry, gamma)
-                    for sym in calls for s, guard in guards[sym].items()
-                    for entry, gamma in (self.call_step(state, sym, s),)
-                    if entry]
-                # Internal and call rules depend only on the state: emit them
-                # on first expansion; later levels only revisit successors.
-                rules.extend(rule for rule, _ in internal_exp[state])
-                rules.extend(rule for rule, _, _ in call_exp[state])
-            for _rule, nxt in internal_exp[state]:
-                visit(level, nxt)
-            for _rule, entry, gamma in call_exp[state]:
-                if gamma not in pushed_from:
-                    pushed_from[gamma] = {}
-                    pop_results[gamma] = {}
-                    gammas_at.setdefault(entry, []).append(gamma)
-                    visit(entry, entry)
-                    for inner in list(levels.get(entry, ())):
-                        pop_with(inner, gamma)
-                if level not in pushed_from[gamma]:
-                    pushed_from[gamma][level] = None
-                    for popped in list(pop_results[gamma]):
-                        visit(level, popped)
-            if level == _BOTTOM:
-                name = name_of(state)
-                for sym in self.returns:
-                    for s, guard in guards[sym].items():
-                        nxt = self.bottom_step(state, sym, s)
-                        if not nxt:
-                            continue
-                        rules.append(ReturnRule(name, sym, None, guard,
-                                                name_of(nxt)))
-                        visit(_BOTTOM, nxt)
-            else:
-                for gamma in list(gammas_at.get(level, ())):
-                    pop_with(state, gamma)
+                gname = gnames[gamma]
+                results = pop_results[gamma]
+                for sym, s, nxt in self.pop_steps(state, gamma):
+                    rules.append(ReturnRule(name, sym, gname, guards[sym][s],
+                                            name_of(nxt)))
+                    if nxt not in results:
+                        results[nxt] = None
+                        for outer in pushed_from[gamma]:
+                            visit(outer, nxt)
 
-        # Every reached state was named on expansion, every pushed gamma when
-        # its call rule was built, and nothing else was named.
-        accepting = [name for state, name in names.items()
-                     if self.accepting(state)]
-        return Ecidpda(self.alphabet, names.values(), [names[start]],
-                       accepting, gnames.values(), rules)
+            start = self.start(self.initial)
+            visit(_BOTTOM, start)
+            while worklist:
+                level, state = worklist.pop()
+                if state not in internal_exp:
+                    name = name_of(state)
+                    internal_exp[state] = [
+                        (InternalRule(name, sym, guard, name_of(nxt)), nxt)
+                        for sym in internals
+                        for s, guard in guards[sym].items()
+                        for nxt in (self.internal_step(state, sym, s),) if nxt]
+                    call_exp[state] = [
+                        (CallRule(name, sym, guard, name_of(entry),
+                                  gname_of(gamma)), entry, gamma)
+                        for sym in calls for s, guard in guards[sym].items()
+                        for entry, gamma in (self.call_step(state, sym, s),)
+                        if entry]
+                    # Internal and call rules depend only on the state: emit
+                    # them on first expansion; later levels only revisit
+                    # successors.
+                    rules.extend(rule for rule, _ in internal_exp[state])
+                    rules.extend(rule for rule, _, _ in call_exp[state])
+                for _rule, nxt in internal_exp[state]:
+                    visit(level, nxt)
+                for _rule, entry, gamma in call_exp[state]:
+                    if gamma not in pushed_from:
+                        pushed_from[gamma] = {}
+                        pop_results[gamma] = {}
+                        gammas_at.setdefault(entry, []).append(gamma)
+                        visit(entry, entry)
+                        for inner in list(levels.get(entry, ())):
+                            pop_with(inner, gamma)
+                    if level not in pushed_from[gamma]:
+                        pushed_from[gamma][level] = None
+                        for popped in list(pop_results[gamma]):
+                            visit(level, popped)
+                if level == _BOTTOM:
+                    name = name_of(state)
+                    for sym in self.returns:
+                        for s, guard in guards[sym].items():
+                            nxt = self.bottom_step(state, sym, s)
+                            if not nxt:
+                                continue
+                            rules.append(ReturnRule(name, sym, None, guard,
+                                                    name_of(nxt)))
+                            visit(_BOTTOM, nxt)
+                else:
+                    for gamma in list(gammas_at.get(level, ())):
+                        pop_with(state, gamma)
+
+            # Every reached state was named on expansion, every pushed gamma
+            # when its call rule was built, and nothing else was named.
+            accepting = [name for state, name in names.items()
+                         if self.accepting(state)]
+            return Ecidpda(self.alphabet, names.values(), [names[start]],
+                           accepting, gnames.values(), rules)
 
 
 def determinize_untimed(a: Ecidpda) -> Ecidpda:
@@ -580,10 +606,10 @@ class _NoStackPrediction(_Direct):
         outer, bracket, s_push = gamma
         width = self.size
         rows, survivors = self.rows(outer & self.pair_bits), outer >> width
-        return [(sym, s, nxt) for sym, s, f
-                in self.summaries(state & self.pair_bits, bracket, s_push)
-                for nxt in (_apply(rows, f) | f[survivors] << width,)
-                if nxt]
+        distinct, uses = self.summaries(state & self.pair_bits, bracket,
+                                        s_push)
+        after = [_apply(rows, f) | f[survivors] << width for f in distinct]
+        return [(sym, s, after[i]) for sym, s, i in uses if after[i]]
 
     def bottom_step(self, state: int, sym: str, s) -> int:
         after = self.step(sym, s)[state >> self.size]

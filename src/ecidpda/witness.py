@@ -206,7 +206,12 @@ def build_prefix(spec: WitnessSpec) -> TimedString:
 def enumerate_specs(n: int, k: int, m: int) -> Iterator[WitnessSpec]:
     """Every parameter vector for n, k and m: numbers, then relations (by
     size), then X sets and Y sets (by size), each in lexicographic order.
+
+    Raises WitnessError at the call, not on first iteration, unless n, k
+    and m are all at least 1.
     """
+    if min(n, k, m) < 1:
+        raise WitnessError("n, k and m must be positive")
     numbers = list(range(n))
     pairs = list(itertools.product(numbers, repeat=2))
     relations = [frozenset(sub) for size in range(len(pairs) + 1)
@@ -214,11 +219,11 @@ def enumerate_specs(n: int, k: int, m: int) -> Iterator[WitnessSpec]:
     events = list(range(1, k + 1))
     subsets = [frozenset(sub) for size in range(k + 1)
                for sub in itertools.combinations(events, size)]
-    for s in itertools.product(numbers, repeat=m + 1):
-        for rel_vec in itertools.product(relations, repeat=m):
-            for x_vec in itertools.product(subsets, repeat=m):
-                for y_vec in itertools.product(subsets, repeat=m):
-                    yield WitnessSpec(n, k, m, s, rel_vec, x_vec, y_vec)
+    return (WitnessSpec(n, k, m, s, rel_vec, x_vec, y_vec)
+            for s in itertools.product(numbers, repeat=m + 1)
+            for rel_vec in itertools.product(relations, repeat=m)
+            for x_vec in itertools.product(subsets, repeat=m)
+            for y_vec in itertools.product(subsets, repeat=m))
 
 
 def is_valid(spec: WitnessSpec) -> bool:

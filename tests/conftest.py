@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import gc
+import importlib.util
 import itertools
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +18,27 @@ from ecidpda import PartitionedAlphabet, TimedString
 @pytest.fixture(scope="session")
 def bracket_alphabet() -> PartitionedAlphabet:
     return PartitionedAlphabet({"<"}, {">"}, {"c", "d"})
+
+
+@pytest.fixture(scope="session")
+def workloads():
+    """The benchmark's workload module, for its monitor automata and
+    bracket-heavy strings."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads",
+        Path(__file__).resolve().parent.parent / "bench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module    # its dataclasses look themselves up
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture
+def collector():
+    """Restores the cyclic collector setting that a test changes."""
+    was = gc.isenabled()
+    yield
+    (gc.enable if was else gc.disable)()
 
 
 @pytest.fixture(scope="session")

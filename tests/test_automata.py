@@ -1,22 +1,20 @@
 """The automaton model: simulation, determinism check, serialization."""
 
 import gc
-import importlib.util
 import random
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
 import ecidpda.automata as automata_module
 from ecidpda import (And, AutomatonError, CallRule, DETERMINISTIC,
                      Ecidpda, InternalRule, NondeterminismWitness, Not, Or,
-                     ReturnRule, TRUE, atom, desugar, determinize_direct,
-                     determinize_no_stack_prediction, determinize_untimed,
-                     embed_untimed, evaluate, hist, is_deterministic,
-                     parse_guard, simulate, stack_hist, stack_pred, xi)
-from ecidpda.automata import RuleIndex
+                     ReturnRule, TRUE, atom, build_witness_nfa, desugar,
+                     determinize_direct, determinize_no_stack_prediction,
+                     determinize_untimed, embed_untimed, evaluate, hist,
+                     is_deterministic, parse_guard, simulate, stack_hist,
+                     stack_pred, xi)
+from ecidpda.automata import RuleIndex, collector_paused
 from ecidpda.constraints import sorted_atoms
 from ecidpda.generate import random_automaton, random_timed_string
 from ecidpda.timed import PartitionedAlphabet, TimedString
@@ -24,7 +22,6 @@ from ecidpda.timed import PartitionedAlphabet, TimedString
 from .conftest import timed
 
 F = Fraction
-ROOT = Path(__file__).resolve().parent.parent
 
 
 def trivial_automaton(alphabet) -> Ecidpda:
@@ -155,18 +152,6 @@ def assert_steps_match_reference(a: Ecidpda, strings, rng: random.Random
             configs = want
 
 
-@pytest.fixture(scope="module")
-def workloads():
-    """The benchmark's workload module, for its monitor automata and
-    bracket-heavy strings."""
-    spec = importlib.util.spec_from_file_location(
-        "bench_workloads", ROOT / "bench" / "workloads.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module    # its dataclasses look themselves up
-    spec.loader.exec_module(module)
-    return module
-
-
 class TestStepMemo:
     """RuleIndex.step evaluates each guard and atom object at most once per
     position and keeps nothing once the step returns."""
@@ -254,6 +239,66 @@ class TestStepMemo:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+class TestCollectorPause:
+    """collector_paused, and RuleIndex built under it."""
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_restores_the_caller_setting(self, enabled, collector):
+        (gc.enable if enabled else gc.disable)()
+        with collector_paused():
+            assert not gc.isenabled()
+            with collector_paused():
+                assert not gc.isenabled()
+            assert not gc.isenabled()
+        assert gc.isenabled() is enabled
+        with pytest.raises(RuntimeError):
+            with collector_paused():
+                raise RuntimeError("partway")
+        assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_rule_index_restores_the_caller_setting(self, enabled,
+                                                    bracket_alphabet,
+                                                    collector):
+        a = embed_untimed(["q0", "q1"], ["q0"], ["q1"], ["g"],
+                          bracket_alphabet,
+                          internal=[("q0", "c", "q1")],
+                          calls=[("q0", "<", "q0", "g")],
+                          returns=[("q0", ">", "g", "q1")])
+        seen = []
+
+        class Partway:
+            """An automaton whose rules give out after the first."""
+            @property
+            def rules(self):
+                seen.append(gc.isenabled())
+                yield a.rules[0]
+                raise RuntimeError("partway")
+
+        (gc.enable if enabled else gc.disable)()
+        RuleIndex(a)
+        assert gc.isenabled() is enabled
+        with pytest.raises(RuntimeError):
+            RuleIndex(Partway())
+        assert seen == [False]
+        assert gc.isenabled() is enabled
+
+    def test_builders_leave_no_cyclic_garbage(self, workloads, collector):
+        # The premise of the pause: a collection during a construction or
+        # an index build would free nothing.
+        sources = [build_witness_nfa(1, 2), workloads.monitor_automaton(
+            workloads.MONITOR_AUTOMATA[2])]
+        untimed = random_automaton(random.Random(45), timed=False)
+        gc.collect()
+        gc.disable()
+        for source in sources:
+            for construct in (determinize_direct,
+                              determinize_no_stack_prediction):
+                RuleIndex(construct(source))
+        RuleIndex(determinize_untimed(untimed))
+        assert gc.collect() == 0
 
 
 class TestIsDeterministic:

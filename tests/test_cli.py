@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import ecidpda.cli as cli_module
 from ecidpda import (DETERMINISTIC, Ecidpda, TRUE, embed_untimed,
                      is_deterministic)
 from ecidpda.cli import EXIT_ACCEPT, EXIT_ERROR, EXIT_REJECT, main
@@ -251,6 +252,18 @@ class TestDiff:
         assert main(["diff", "--mode", "direct", "--trials", "0"]) \
             == EXIT_ERROR
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--strings", "-3"), ("--strings", "0"), ("--max-states", "0"),
+        ("--max-stack", "0"), ("--max-atoms", "-1"), ("--max-len", "-1"),
+    ])
+    def test_bad_counts(self, flag, value, capsys):
+        code = main(["diff", "--mode", "direct", "--trials", "2",
+                     flag, value])
+        assert code == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert flag in captured.err
+        assert captured.out == ""
+
 
 class TestWitness:
     def test_single_spec(self, tmp_path, capsys):
@@ -282,3 +295,22 @@ class TestWitness:
 
     def test_requires_spec_or_exhaustive(self, capsys):
         assert main(["witness", "--n", "2", "--k", "1"]) == EXIT_ERROR
+
+    @pytest.fixture
+    def no_compile(self, monkeypatch):
+        """Bad flags must be refused before the unbounded compile."""
+        def compile_called(_nfa):
+            raise AssertionError("determinized before checking the flags")
+        monkeypatch.setattr(cli_module, "determinize_direct", compile_called)
+
+    def test_missing_mode_fails_before_compiling(self, no_compile, capsys):
+        assert main(["witness", "--n", "4", "--k", "1"]) == EXIT_ERROR
+        assert "--spec" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--n", "--k", "--m"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_non_positive_parameter(self, flag, value, no_compile, capsys):
+        argv = ["witness", "--n", "1", "--k", "1", "--m", "1", "--exhaustive"]
+        argv[argv.index(flag) + 1] = value
+        assert main(argv) == EXIT_ERROR
+        assert capsys.readouterr().err.startswith("error:")

@@ -1,5 +1,6 @@
 """The three determinization constructions and the pair-set oracle."""
 
+import gc
 import hashlib
 import json
 import os
@@ -251,6 +252,35 @@ class TestPinnedOutputs:
     def test_witness_2_1(self, mode, want):
         assert _digest(MODES[mode](build_witness_nfa(2, 1))) == want
 
+    @pytest.mark.parametrize("mode, want", [
+        ("direct",
+         "34b44182154b85c0293118e99e559c4eb302860b30d44d031b98befe26126c72"),
+        ("nostackpred",
+         "a9aa273c1b15f5dba66a70c651830b4afd99602c981e47ed3a9e90f6c81af4fd"),
+    ])
+    def test_witness_1_3(self, mode, want):
+        # Its 64 return truth sets select only 8 distinct relation tuples,
+        # so its pop summaries are shared across truth sets.
+        assert _digest(MODES[mode](build_witness_nfa(1, 3))) == want
+
+    @pytest.mark.parametrize("mode, wants", [
+        ("direct", [
+            "3a8ee6ca6bd457eb0a75c904f0d96773899782652c4a29a2b204cdfa51144769",
+            "194a1c857c7c65c8189c5e868ffd5239b08e9b38147127ace2c2d1470811019d",
+            "2257a49d47ba178e7598d4de395f2c4438b849a309bdbcc77219f18667a6cd5a",
+        ]),
+        ("nostackpred", [
+            "f68a7aa6ad8d6e3b4a315911b4c11966cd4dd60a4713885cf22ab68919fc4ccb",
+            "d845c131bfd9de9eaa911860d7772f9def6a50fedccd11af823a48a563ad6a9c",
+            "8f8209b0b20df99f127acaaaede16878f102debcc90583e3ac1440c24a2d94c5",
+        ]),
+    ])
+    def test_monitor_automata(self, mode, wants, workloads):
+        # All four clock kinds, stack clocks included.
+        got = [_digest(MODES[mode](workloads.monitor_automaton(spec)))
+               for spec in workloads.MONITOR_AUTOMATA]
+        assert got == wants
+
     def test_random_draws(self):
         rng = random.Random(0)
         digests = []
@@ -261,6 +291,57 @@ class TestPinnedOutputs:
             digests.append(_digest(MODES[mode](a)))
         assert hashlib.sha256("".join(digests).encode()).hexdigest() == (
             "0de8405dc963fa2ce8cbc1c09a04e5705a6df23998ceb69ccda0d394d8bc44ba")
+
+
+class TestCollectorPause:
+    """Each construction pauses the cyclic collector while it builds and
+    leaves the caller's setting as it was, however it ends."""
+
+    @pytest.fixture
+    def source(self):
+        # 13 states and 13 stack symbols: the error below strikes partway.
+        a = random_automaton(random.Random(6), timed=False, max_states=3)
+        det = determinize_untimed(a)
+        assert len(det.states) > 2 and len(det.stack) > 2
+        return a
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("mode", list(MODES))
+    def test_restores_the_caller_setting(self, mode, enabled, source,
+                                         monkeypatch, collector):
+        seen = []
+        real = determinize_module.eval_under
+
+        def recording(*args):
+            seen.append(gc.isenabled())
+            return real(*args)
+
+        monkeypatch.setattr(determinize_module, "eval_under", recording)
+        (gc.enable if enabled else gc.disable)()
+        MODES[mode](source)
+        assert seen and not any(seen)
+        assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("mode", list(MODES))
+    def test_restores_the_caller_setting_on_error(self, mode, enabled,
+                                                  source, monkeypatch,
+                                                  collector):
+        # eval_under runs inside the step hooks, partway through the search.
+        calls = []
+        real = determinize_module.eval_under
+
+        def failing(*args):
+            calls.append(None)
+            if len(calls) == 5:
+                raise RuntimeError("partway")
+            return real(*args)
+
+        monkeypatch.setattr(determinize_module, "eval_under", failing)
+        (gc.enable if enabled else gc.disable)()
+        with pytest.raises(RuntimeError, match="partway"):
+            MODES[mode](source)
+        assert gc.isenabled() is enabled
 
 
 _HASH_SEED_SCRIPT = """
