@@ -12,9 +12,9 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
-from .constraints import (Atom, Constraint, TRUE, atoms, eval_with,
-                          evaluate, format_guard, mutually_exclusive,
-                          parse_guard, PROVABLY_EXCLUSIVE)
+from .constraints import (Atom, Constraint, TRUE, atom_nodes, atoms,
+                          eval_with, evaluate, format_guard,
+                          mutually_exclusive, parse_guard, PROVABLY_EXCLUSIVE)
 from .timed import PartitionedAlphabet, TimedString
 
 
@@ -226,12 +226,27 @@ class RunResult:
     trace: tuple[frozenset[Configuration], ...]  # length = |w| + 1
 
 
+# A multi-rule group's entry in RuleIndex.tables after its first visit,
+# before its decision table is built.
+_SEEN = object()
+
+
 class RuleIndex:
     """Rules of an automaton indexed for configuration-set stepping.
 
-    Within one step each guard object and each atom object is evaluated at
-    most once, however many configurations and rules share it; the truths
-    are dropped when the step ends.
+    The rules are grouped by (state, symbol) and, for returns, the pop
+    symbol.  Within one step each guard object and each atom object is
+    evaluated at most once, however many configurations and rules share
+    it; the truths are dropped when the step ends.
+
+    A group of two or more rules visited a second time gets a decision
+    table: the bit mask of its atoms' truths at a position (atoms collected
+    by identity, in first-seen order) maps to the rules that fire, filled
+    on a miss by walking the guards.  A later position with the same mask
+    costs one atom-memo read per atom and one lookup.  A group's table
+    holds at most one entry per distinct mask seen, so at most 2^(its
+    atoms); the tables live as long as the index, so reusing one index
+    across strings reuses them.
     """
 
     def __init__(self, a: Ecidpda):
@@ -239,6 +254,8 @@ class RuleIndex:
         self.internal: dict[tuple[str, str], list[InternalRule]] = {}
         self.call: dict[tuple[str, str], list[CallRule]] = {}
         self.ret: dict[tuple[str, str, Optional[str]], list[ReturnRule]] = {}
+        # id(group) -> _SEEN, or (its atoms, {mask: firing rules})
+        self.tables: dict[int, object] = {}
         with collector_paused():
             for rule in a.rules:
                 if isinstance(rule, InternalRule):
@@ -259,41 +276,80 @@ class RuleIndex:
         # Truths of the guards and atoms read at position i, by identity:
         # every node is held by a rule for the whole step.
         memo: dict[int, bool] = {}
-
-        def atom_truth(atom: Atom) -> bool:
-            truth = memo.get(id(atom))
-            if truth is None:
-                truth = memo[id(atom)] = evaluate(atom, w, i)
-            return truth
-
-        def holds(guard: Constraint) -> bool:
-            truth = memo.get(id(guard))
-            if truth is None:
-                truth = memo[id(guard)] = eval_with(guard, atom_truth)
-            return truth
-
+        fired = self._fired
         nxt: set[Configuration] = set()
         if sym in a.alphabet.internals:
             for state, stack in configs:
-                for rule in self.internal.get((state, sym), ()):
-                    if holds(rule.guard):
+                group = self.internal.get((state, sym))
+                if group:
+                    for rule in fired(group, memo, w, i):
                         nxt.add((rule.dst, stack))
         elif sym in a.alphabet.calls:
             for state, stack in configs:
-                for rule in self.call.get((state, sym), ()):
-                    if holds(rule.guard):
+                group = self.call.get((state, sym))
+                if group:
+                    for rule in fired(group, memo, w, i):
                         nxt.add((rule.dst, (rule.push,) + stack))
         else:
             for state, stack in configs:
-                if stack:
-                    for rule in self.ret.get((state, sym, stack[0]), ()):
-                        if holds(rule.guard):
-                            nxt.add((rule.dst, stack[1:]))
-                else:
-                    for rule in self.ret.get((state, sym, None), ()):
-                        if holds(rule.guard):
-                            nxt.add((rule.dst, ()))
+                group = self.ret.get((state, sym, stack[0] if stack
+                                      else None))
+                if group:
+                    for rule in fired(group, memo, w, i):
+                        nxt.add((rule.dst, stack[1:]))
         return nxt
+
+    def _fired(self, group: list, memo: dict, w: TimedString,
+               i: int) -> list:
+        """The rules of a group whose guards hold at position i of w."""
+        if len(group) == 1:
+            return group if self._holds(group[0].guard, memo, w, i) else []
+        entry = self.tables.get(id(group))
+        if entry is None:
+            self.tables[id(group)] = _SEEN
+            return [rule for rule in group
+                    if self._holds(rule.guard, memo, w, i)]
+        if entry is _SEEN:
+            entry = self.tables[id(group)] = (_group_atoms(group), {})
+        group_atoms, table = entry
+        mask = 0
+        bit = 1
+        for atom in group_atoms:
+            if _memoized_truth(atom, memo, w, i):
+                mask |= bit
+            bit <<= 1
+        rules = table.get(mask)
+        if rules is None:
+            rules = table[mask] = [rule for rule in group
+                                   if self._holds(rule.guard, memo, w, i)]
+        return rules
+
+    @staticmethod
+    def _holds(guard: Constraint, memo: dict, w: TimedString,
+               i: int) -> bool:
+        truth = memo.get(id(guard))
+        if truth is None:
+            truth = memo[id(guard)] = eval_with(
+                guard, lambda atom: _memoized_truth(atom, memo, w, i))
+        return truth
+
+
+def _memoized_truth(atom: Atom, memo: dict, w: TimedString, i: int) -> bool:
+    """The truth of an atom object at position i, read once per step."""
+    truth = memo.get(id(atom))
+    if truth is None:
+        truth = memo[id(atom)] = evaluate(atom, w, i)
+    return truth
+
+
+def _group_atoms(group: list) -> tuple[Atom, ...]:
+    """The atom objects of a group's guards, each once, in first-seen
+    order; equal atoms that are distinct objects are kept apart."""
+    found: dict[int, Atom] = {}
+    for rule in group:
+        for atom in atom_nodes(rule.guard):
+            found.setdefault(id(atom), atom)
+    return tuple(found.values())
 
 
 def simulate(a: Ecidpda, w: TimedString,
@@ -302,7 +358,9 @@ def simulate(a: Ecidpda, w: TimedString,
 
     Configurations with no applicable rule are dropped; acceptance requires
     some final configuration's state to be accepting, any stack contents.
-    Pass a prebuilt RuleIndex to amortize indexing across many strings.
+    Once no configuration is left the run stops stepping, and the rest of
+    its trace is empty sets.  Pass a prebuilt RuleIndex to amortize
+    indexing, and its decision tables, across many strings.
     """
     alphabet = a.alphabet.symbols
     for sym in w.symbols:
@@ -315,6 +373,9 @@ def simulate(a: Ecidpda, w: TimedString,
     configs: set[Configuration] = {(q, ()) for q in a.initial}
     trace = [frozenset(configs)]
     for i in range(1, len(w) + 1):
+        if not configs:
+            trace += [frozenset()] * (len(w) + 1 - i)
+            break
         configs = index.step(configs, w, i)
         trace.append(frozenset(configs))
     accepted = any(state in a.accepting for state, _ in configs)

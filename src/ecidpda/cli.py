@@ -141,7 +141,12 @@ def cmd_witness(args) -> int:
               file=sys.stderr)
         return EXIT_ERROR
     if args.spec:
-        specs = [load_witness_spec(args.spec)]
+        spec = load_witness_spec(args.spec)
+        if (spec.n, spec.k) != (args.n, args.k):
+            print(f"the spec has n={spec.n}, k={spec.k} but "
+                  f"--n {args.n} --k {args.k} was given", file=sys.stderr)
+            return EXIT_ERROR
+        specs = [spec]
     elif args.exhaustive:
         specs = list(enumerate_specs(args.n, args.k, args.m))
     else:
@@ -151,6 +156,7 @@ def cmd_witness(args) -> int:
     if args.nfa_out:
         nfa.save(args.nfa_out)
     det = determinize_direct(nfa)
+    nfa_index, det_index = RuleIndex(nfa), RuleIndex(det)
     disagreements = 0
 
     print(f"{'spec':<50} {'valid':<6} {'nfa':<6} {'det':<6}")
@@ -158,8 +164,8 @@ def cmd_witness(args) -> int:
     for spec in specs:
         w = build_well_formed(spec)
         expected = is_valid(spec)
-        got_nfa = simulate(nfa, w).accepted
-        got_det = simulate(det, w).accepted
+        got_nfa = simulate(nfa, w, nfa_index).accepted
+        got_det = simulate(det, w, det_index).accepted
         checked += 1
         label = json.dumps(spec.to_json(), separators=(",", ":"))
         if expected != got_nfa or expected != got_det or args.spec:

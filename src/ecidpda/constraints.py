@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .rat import format_rational, parse_rational
 from .timed import (Clock, TimedString, clock_value, hist, pred, stack_hist,
@@ -94,6 +94,8 @@ def desugar(op: str, clock: Clock, bound) -> Constraint:
 
 def evaluate(phi: Constraint, w: TimedString, i: int) -> bool:
     """Truth of a constraint on w at position i (undefined clock => atom false)."""
+    if isinstance(phi, Atom):
+        return _atom_truth(phi, w, i)
     return eval_with(phi, lambda a: _atom_truth(a, w, i))
 
 
@@ -119,22 +121,25 @@ def eval_with(phi: Constraint, truth: Callable[[Atom], bool]) -> bool:
     raise ConstraintError(f"not a constraint node: {phi!r}")
 
 
-def atoms(phi: Constraint) -> frozenset[Atom]:
-    """The set of Atom leaves of phi."""
-    found: set[Atom] = set()
+def atom_nodes(phi: Constraint) -> Iterator[Atom]:
+    """The Atom leaves of phi, left to right, each occurrence once."""
     stack = [phi]
     while stack:
         node = stack.pop()
         if isinstance(node, Atom):
-            found.add(node)
+            yield node
         elif isinstance(node, (And, Or)):
-            stack.append(node.left)
             stack.append(node.right)
+            stack.append(node.left)
         elif isinstance(node, Not):
             stack.append(node.inner)
         elif not isinstance(node, _Const):
             raise ConstraintError(f"not a constraint node: {node!r}")
-    return frozenset(found)
+
+
+def atoms(phi: Constraint) -> frozenset[Atom]:
+    """The set of Atom leaves of phi."""
+    return frozenset(atom_nodes(phi))
 
 
 def eval_under(phi: Constraint, true_atoms: Iterable[Atom],

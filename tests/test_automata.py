@@ -8,13 +8,13 @@ import pytest
 
 import ecidpda.automata as automata_module
 from ecidpda import (And, AutomatonError, CallRule, DETERMINISTIC,
-                     Ecidpda, InternalRule, NondeterminismWitness, Not, Or,
-                     ReturnRule, TRUE, atom, build_witness_nfa, desugar,
-                     determinize_direct, determinize_no_stack_prediction,
-                     determinize_untimed, embed_untimed, evaluate, hist,
-                     is_deterministic, parse_guard, simulate, stack_hist,
-                     stack_pred, xi)
-from ecidpda.automata import RuleIndex, collector_paused
+                     Ecidpda, FALSE, InternalRule, NondeterminismWitness,
+                     Not, Or, ReturnRule, TRUE, atom, build_witness_nfa,
+                     clock_value, desugar, determinize_direct,
+                     determinize_no_stack_prediction, determinize_untimed,
+                     embed_untimed, evaluate, hist, is_deterministic,
+                     parse_guard, pred, simulate, stack_hist, stack_pred, xi)
+from ecidpda.automata import RuleIndex, RunResult, collector_paused
 from ecidpda.constraints import sorted_atoms
 from ecidpda.generate import random_automaton, random_timed_string
 from ecidpda.timed import PartitionedAlphabet, TimedString
@@ -239,6 +239,182 @@ class TestStepMemo:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+def reference_run(a: Ecidpda, w: TimedString) -> RunResult:
+    """A run that steps every position with reference_step, dead or not."""
+    groups = a.rules_by_key()
+    configs = {(q, ()) for q in a.initial}
+    trace = [frozenset(configs)]
+    for i in range(1, len(w) + 1):
+        configs = reference_step(a, groups, configs, w, i)
+        trace.append(frozenset(configs))
+    return RunResult(any(q in a.accepting for q, _ in configs),
+                     frozenset(configs), tuple(trace))
+
+
+class TestDeadRuns:
+    """simulate stops stepping once no configuration is left; its result,
+    trace included, is that of a run stepped to the end."""
+
+    @pytest.fixture
+    def steps(self, monkeypatch):
+        """The configuration sets RuleIndex.step is called with."""
+        seen = []
+        step = RuleIndex.step
+
+        def counted(index, configs, w, i):
+            seen.append(set(configs))
+            return step(index, configs, w, i)
+
+        monkeypatch.setattr(RuleIndex, "step", counted)
+        return seen
+
+    def test_run_dies_partway(self, bracket_alphabet, steps):
+        a = Ecidpda(bracket_alphabet, ["q0", "q1"], ["q0"], ["q1"], ["g"], [
+            InternalRule("q0", "c", TRUE, "q1"),
+            InternalRule("q1", "c", atom(hist("c"), ">=", 2), "q0"),
+        ])
+        w = timed(bracket_alphabet, "c c c d c c")   # dies at position 2
+        result = simulate(a, w)
+        assert len(result.trace) == len(w) + 1
+        assert [len(configs) for configs in result.trace] == [1, 1, 0, 0,
+                                                               0, 0, 0]
+        assert len(steps) == 2
+        assert result == reference_run(a, w)
+
+    def test_random_runs_equal_a_full_run(self, steps):
+        rng = random.Random(46)
+        dead = 0
+        for _ in range(60):
+            a = random_automaton(rng)
+            index = RuleIndex(a)
+            for _ in range(5):
+                w = random_timed_string(rng, a.alphabet)
+                steps.clear()
+                result = simulate(a, w, index)
+                assert result == reference_run(a, w), (a.to_json(),
+                                                       w.to_json())
+                assert all(steps)
+                alive = [bool(configs) for configs in result.trace]
+                assert len(steps) == (alive.index(False)
+                                      if False in alive else len(w))
+                dead += len(steps) < len(w)
+        assert dead > 0
+
+
+class TestDecisionTables:
+    """One RuleIndex reused across many strings decides each rule group
+    from its atoms' truths, and steps exactly as a fresh index and as
+    per-rule evaluation do."""
+
+    @pytest.fixture
+    def automaton(self, bracket_alphabet):
+        c1 = atom(hist("c"), "<=", 1)
+        twin = atom(hist("c"), "<=", 1)     # equal to c1, not c1 itself
+        s1 = atom(stack_hist(), ">=", 1)
+        p2 = atom(pred("d"), "<=", 2)
+        shared = Or(c1, Not(s1))            # one guard object in 4 groups
+        return Ecidpda(bracket_alphabet, ["q0", "q1", "q2"], ["q0"],
+                       ["q2"], ["g"], [
+            InternalRule("q0", "c", shared, "q1"),
+            InternalRule("q0", "c", Not(twin), "q2"),
+            InternalRule("q0", "c", And(c1, p2), "q0"),
+            InternalRule("q1", "c", shared, "q0"),
+            InternalRule("q1", "c", FALSE, "q2"),
+            InternalRule("q1", "c", TRUE, "q1"),
+            InternalRule("q2", "c", Or(p2, FALSE), "q2"),
+            # zero-atom groups
+            InternalRule("q0", "d", TRUE, "q1"),
+            InternalRule("q0", "d", FALSE, "q0"),
+            InternalRule("q0", "d", TRUE, "q2"),
+            InternalRule("q1", "d", FALSE, "q0"),
+            InternalRule("q1", "d", FALSE, "q1"),
+            CallRule("q0", "<", shared, "q1", "g"),
+            CallRule("q0", "<", Not(shared), "q2", "g"),
+            CallRule("q1", "<", TRUE, "q0", "g"),
+            CallRule("q1", "<", p2, "q1", "g"),
+            CallRule("q2", "<", twin, "q0", "g"),
+            CallRule("q2", "<", Or(p2, Not(c1)), "q2", "g"),
+            ReturnRule("q0", ">", "g", shared, "q1"),
+            ReturnRule("q0", ">", "g", TRUE, "q0"),
+            ReturnRule("q1", ">", "g", s1, "q0"),
+            ReturnRule("q1", ">", "g", Not(And(s1, twin)), "q2"),
+            ReturnRule("q2", ">", "g", Not(s1), "q2"),
+            ReturnRule("q0", ">", None, c1, "q1"),
+            ReturnRule("q0", ">", None, Not(c1), "q0"),
+            ReturnRule("q2", ">", None, TRUE, "q2"),
+            ReturnRule("q2", ">", None, FALSE, "q0"),
+        ])
+
+    @staticmethod
+    def strings(a: Ecidpda, count: int) -> list[TimedString]:
+        rng = random.Random(47)
+        return [random_timed_string(rng, a.alphabet, max_len=16)
+                for _ in range(count)]
+
+    @staticmethod
+    def configs(a: Ecidpda) -> set:
+        return {(q, stack) for q in a.states
+                for stack in [(), ("g",), ("g", "g")]}
+
+    def test_reused_index_matches_fresh_and_reference(self, automaton):
+        index, groups = RuleIndex(automaton), automaton.rules_by_key()
+        configs = self.configs(automaton)
+        for w in self.strings(automaton, 80):
+            fresh = RuleIndex(automaton)
+            for i in range(1, len(w) + 1):
+                want = reference_step(automaton, groups, configs, w, i)
+                assert index.step(configs, w, i) == want, w.to_json()
+                assert fresh.step(configs, w, i) == want, w.to_json()
+        tables = [entry for entry in index.tables.values()
+                  if isinstance(entry, tuple)]
+        multi = [rules for rules in groups.values() if len(rules) > 1]
+        assert len(tables) == len(multi)
+        # The zero-atom groups: q0 on d fires its two TRUE rules, q1 none.
+        assert ((), {0: [automaton.rules[7], automaton.rules[9]]}) in tables
+        assert ((), {0: []}) in tables
+        for group_atoms, table in tables:
+            assert len(table) <= 2 ** len(group_atoms)
+
+    def test_tables_serve_positions_with_other_clock_values(self,
+                                                            automaton):
+        index, groups = RuleIndex(automaton), automaton.rules_by_key()
+        configs = self.configs(automaton)
+        strings = self.strings(automaton, 80)
+        for w in strings:
+            for i in range(1, len(w) + 1):
+                index.step(configs, w, i)
+        # The same mask of a group is reached where its clocks differ.
+        values_by_mask: dict = {}
+        for group_atoms, _ in (entry for entry in index.tables.values()
+                               if isinstance(entry, tuple)):
+            for w in strings:
+                for i in range(1, len(w) + 1):
+                    mask = sum(1 << j for j, a in enumerate(group_atoms)
+                               if evaluate(a, w, i))
+                    values_by_mask.setdefault(
+                        (id(group_atoms), mask), set()).add(tuple(
+                            clock_value(w, i, a.clock) for a in group_atoms))
+        assert any(len(values) > 1 for values in values_by_mask.values())
+        # A second pass reads every group of two or more rules from its
+        # table: only the guards of one-rule groups are walked.
+        single = {id(rules[0].guard) for rules in groups.values()
+                  if len(rules) == 1}
+        walked = []
+        eval_with = automata_module.eval_with
+
+        def counted_eval_with(phi, truth):
+            walked.append(id(phi))
+            return eval_with(phi, truth)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(automata_module, "eval_with", counted_eval_with)
+            for w in strings:
+                for i in range(1, len(w) + 1):
+                    assert index.step(configs, w, i) == reference_step(
+                        automaton, groups, configs, w, i)
+        assert set(walked) <= single
 
 
 class TestCollectorPause:

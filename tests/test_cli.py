@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import ecidpda.automata as automata_module
 import ecidpda.cli as cli_module
 from ecidpda import (DETERMINISTIC, Ecidpda, TRUE, embed_untimed,
                      is_deterministic)
@@ -314,3 +315,41 @@ class TestWitness:
         argv[argv.index(flag) + 1] = value
         assert main(argv) == EXIT_ERROR
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_builds_each_rule_index_once(self, monkeypatch, capsys):
+        built = []
+
+        class CountedIndex(cli_module.RuleIndex):
+            def __init__(self, a):
+                built.append(a)
+                super().__init__(a)
+
+        # simulate() builds its own index when given none.
+        monkeypatch.setattr(cli_module, "RuleIndex", CountedIndex)
+        monkeypatch.setattr(automata_module, "RuleIndex", CountedIndex)
+        code = main(["witness", "--n", "1", "--k", "2", "--m", "1",
+                     "--exhaustive"])
+        out = capsys.readouterr().out
+        assert code == EXIT_ACCEPT
+        assert "checked 32 specs, 0 disagreements" in out
+        assert len(built) == 2
+
+    @pytest.mark.parametrize("n, k", [("1", "1"), ("3", "1"), ("2", "2")])
+    def test_spec_parameters_must_match_flags(self, n, k, tmp_path,
+                                              monkeypatch, capsys):
+        # A valid n=2, k=1 spec checked against another family would be a
+        # false disagreement, and a larger family an unbounded compile.
+        def built(*_args):
+            raise AssertionError("built a witness automaton")
+        monkeypatch.setattr(cli_module, "build_witness_nfa", built)
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({
+            "n": 2, "k": 1, "m": 1, "s": [1, 0],
+            "R": [[[1, 0]]], "X": [["e1"]], "Y": [["e1"]],
+        }))
+        code = main(["witness", "--n", n, "--k", k, "--spec",
+                     str(spec_path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_ERROR
+        assert "n=2, k=1" in captured.err
+        assert captured.out == ""
