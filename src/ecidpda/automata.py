@@ -361,11 +361,22 @@ def simulate(a: Ecidpda, w: TimedString,
     Once no configuration is left the run stops stepping, and the rest of
     its trace is empty sets.  Pass a prebuilt RuleIndex to amortize
     indexing, and its decision tables, across many strings.
+
+    The string's alphabet places its brackets, and with them the stack
+    clocks, so each symbol of w must be in the automaton's alphabet and in
+    the same class (call, return or internal) in both.
     """
-    alphabet = a.alphabet.symbols
-    for sym in w.symbols:
-        if sym not in alphabet:
-            raise AutomatonError(f"symbol {sym!r} outside the automaton alphabet")
+    if w.alphabet != a.alphabet:
+        ours, theirs = a.alphabet, w.alphabet
+        for sym in dict.fromkeys(w.symbols):
+            if sym not in ours:
+                raise AutomatonError(
+                    f"symbol {sym!r} outside the automaton alphabet")
+            if (sym in ours.calls) != (sym in theirs.calls) or (
+                    sym in ours.returns) != (sym in theirs.returns):
+                raise AutomatonError(
+                    f"symbol {sym!r} is classed differently by the string "
+                    f"and the automaton alphabets")
     if index is None:
         index = RuleIndex(a)
     elif index.automaton is not a:

@@ -1,5 +1,5 @@
-"""Clock-constraint ASTs, evaluation, truth-assignment semantics, and a
-sound per-clock exclusivity check.
+"""Clock-constraint ASTs, evaluation, truth-assignment semantics, the
+feasible truth sets of an atom universe, and a sound exclusivity check.
 
 An atomic constraint compares one clock against a nonnegative rational with
 `<=` or `>=`; an atom is false whenever its clock is undefined.  `=`, `<`
@@ -9,7 +9,6 @@ untimed automata embed with trivially-true guards.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -101,8 +100,11 @@ def evaluate(phi: Constraint, w: TimedString, i: int) -> bool:
 
 def _atom_truth(a: Atom, w: TimedString, i: int) -> bool:
     value = clock_value(w, i, a.clock)
-    if value is None:
-        return False
+    return value is not None and _holds_at(a, value)
+
+
+def _holds_at(a: Atom, value: Fraction) -> bool:
+    """Truth of an atom when its clock is defined with the given value."""
     return value <= a.bound if a.op == "<=" else value >= a.bound
 
 
@@ -142,22 +144,9 @@ def atoms(phi: Constraint) -> frozenset[Atom]:
     return frozenset(atom_nodes(phi))
 
 
-def eval_under(phi: Constraint, true_atoms: Iterable[Atom],
-               universe: Optional[Iterable[Atom]] = None) -> bool:
-    """Evaluate phi with each atom replaced by membership in `true_atoms`.
-
-    When a universe is given, every atom of phi must belong to it; atoms
-    outside `true_atoms` count as false either way.
-    """
+def eval_under(phi: Constraint, true_atoms: Iterable[Atom]) -> bool:
+    """Evaluate phi with each atom replaced by membership in `true_atoms`."""
     true_set = frozenset(true_atoms)
-    if universe is not None:
-        uni = frozenset(universe)
-        missing = atoms(phi) - uni
-        if missing:
-            raise ConstraintError(
-                f"atoms outside the universe: {sorted(map(str, missing))}")
-        if not true_set <= uni:
-            raise ConstraintError("assignment is not a subset of the universe")
     return eval_with(phi, lambda a: a in true_set)
 
 
@@ -185,44 +174,34 @@ PROVABLY_EXCLUSIVE = "provably-exclusive"
 POSSIBLY_OVERLAPPING = "possibly-overlapping"
 
 
-def _clock_assignment_feasible(constraints: list[tuple[str, Fraction, bool]]) -> bool:
-    """Whether one clock can take a value in [0, oo) or be undefined, given
-    (op, bound, truth) verdicts for each of its atoms.
-    """
-    if all(not truth for _, _, truth in constraints):
-        return True  # the clock may simply be undefined
-    # Defined value v >= 0 constrained by intervals.
-    lo, lo_strict = Fraction(0), False
-    hi: Optional[Fraction] = None
-    hi_strict = False
-    for op, bound, truth in constraints:
-        if op == "<=" and truth:
-            if hi is None or bound < hi or (bound == hi and not hi_strict):
-                hi, hi_strict = bound, False
-        elif op == "<=" and not truth:  # v > bound
-            if bound > lo or (bound == lo and not lo_strict):
-                lo, lo_strict = bound, True
-        elif op == ">=" and truth:
-            if bound > lo:
-                lo, lo_strict = bound, False
-        else:  # ">=" false: v < bound
-            if hi is None or bound < hi:
-                hi, hi_strict = bound, True
-    if hi is None:
-        return True
-    if lo < hi:
-        return True
-    return lo == hi and not lo_strict and not hi_strict
+def feasible_truth_sets(universe: Sequence[Atom]) -> list[frozenset[Atom]]:
+    """Every subset of a sorted atom universe that some relaxed valuation
+    makes exactly true, in ascending bit-mask order, bit j standing for
+    universe[j].
 
-
-def assignment_feasible(universe: Sequence[Atom], true_atoms: frozenset[Atom]) -> bool:
-    """Whether some relaxed valuation (each clock independent, possibly
-    undefined) makes exactly `true_atoms` out of `universe` hold.
+    A relaxed valuation gives each clock independently a value in [0, oo)
+    or leaves it undefined, which makes all of its atoms false.  A clock's
+    atoms change truth only at their bounds, so its region points, 0, each
+    bound, a midpoint between each two bounds and one past the last bound,
+    realize every truth set a defined value can (Alur and Dill, A theory of
+    timed automata, TCS 1994).  The clocks combine as a product.
     """
-    by_clock: dict[Clock, list[tuple[str, Fraction, bool]]] = {}
-    for a in universe:
-        by_clock.setdefault(a.clock, []).append((a.op, a.bound, a in true_atoms))
-    return all(_clock_assignment_feasible(cs) for cs in by_clock.values())
+    by_clock: dict[Clock, list[int]] = {}
+    for j, a in enumerate(universe):
+        by_clock.setdefault(a.clock, []).append(j)
+    masks = {0}
+    for bits in by_clock.values():
+        bounds = sorted({universe[j].bound for j in bits})
+        points = [Fraction(0), *bounds,
+                  *[(lo + hi) / 2 for lo, hi in zip(bounds, bounds[1:])],
+                  bounds[-1] + 1]
+        regions = {0}  # the clock is undefined
+        for value in points:
+            regions.add(sum(1 << j for j in bits
+                            if _holds_at(universe[j], value)))
+        masks = {mask | region for mask in masks for region in regions}
+    return [frozenset(a for j, a in enumerate(universe) if mask >> j & 1)
+            for mask in sorted(masks)]
 
 
 def mutually_exclusive(phi: Constraint, psi: Constraint) -> str:
@@ -231,11 +210,7 @@ def mutually_exclusive(phi: Constraint, psi: Constraint) -> str:
     PROVABLY_EXCLUSIVE implies the two constraints can never both be true at
     one position of one string; POSSIBLY_OVERLAPPING is inconclusive.
     """
-    universe = sorted_atoms(atoms(phi) | atoms(psi))
-    for bits in itertools.product([False, True], repeat=len(universe)):
-        true_set = frozenset(a for a, b in zip(universe, bits) if b)
-        if not assignment_feasible(universe, true_set):
-            continue
+    for true_set in feasible_truth_sets(sorted_atoms(atoms(phi) | atoms(psi))):
         if eval_under(phi, true_set) and eval_under(psi, true_set):
             return POSSIBLY_OVERLAPPING
     return PROVABLY_EXCLUSIVE

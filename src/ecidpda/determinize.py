@@ -3,8 +3,9 @@
 Both track pair sets P of source states: (state when the current
 well-nested suffix began, state now).  Per materialized state and symbol
 they enumerate every feasible truth assignment S to the atoms the symbol's
-guards test, and guard the emitted transition with xi(S): the constraint
-asserting that exactly the atoms of S hold.
+guards test (constraints.feasible_truth_sets), and guard the emitted
+transition with xi(S): the constraint asserting that exactly the atoms of S
+hold.
 
 Each construction is one class.  `_Direct` holds the source as bit
 relations, the construction's step hooks and `run()`, the reachability
@@ -40,12 +41,11 @@ pair_set_name's sorted order.
 
 from __future__ import annotations
 
-import itertools
 import re
 from typing import Hashable, Iterator, Optional, Sequence
 
-from .constraints import (Atom, TRUE, atoms as guard_atoms,
-                          assignment_feasible, eval_under, sorted_atoms, xi)
+from .constraints import (Atom, TRUE, atoms as guard_atoms, eval_under,
+                          feasible_truth_sets, sorted_atoms, xi)
 from .automata import (AutomatonError, CallRule, Ecidpda, InternalRule,
                        ReturnRule, Rule, RuleIndex, collector_paused)
 from .timed import (Clock, ClockKind, TimedString,
@@ -81,15 +81,6 @@ def parse_survivor_name(name: str) -> frozenset[str]:
         raise ValueError(f"not an augmented state name: {name!r}")
     inner = body[2:-1]
     return frozenset(inner.split(",")) if inner else frozenset()
-
-
-def _feasible_subsets(universe: tuple[Atom, ...]) -> list[frozenset[Atom]]:
-    subsets: list[frozenset[Atom]] = []
-    for mask in range(1 << len(universe)):
-        s = frozenset(a for bit, a in enumerate(universe) if mask >> bit & 1)
-        if assignment_feasible(universe, s):
-            subsets.append(s)
-    return subsets
 
 
 def _symbol_guard_atoms(a: Ecidpda) -> dict[str, set[Atom]]:
@@ -190,7 +181,7 @@ class _Direct:
         # Truth sets and guards are per symbol: a transition only needs to
         # branch on the atoms some source guard actually tests on that symbol.
         universe_for = self.universes(a)
-        self.guards = {sym: {s: xi(u, s) for s in _feasible_subsets(u)}
+        self.guards = {sym: {s: xi(u, s) for s in feasible_truth_sets(u)}
                        for sym, u in universe_for.items()}
 
     def universes(self, a: Ecidpda) -> dict[str, tuple[Atom, ...]]:
@@ -569,10 +560,8 @@ class _NoStackPrediction(_Direct):
             if sym in a.alphabet.returns:
                 kept |= deferred_mirrors
             universe_for[sym] = sorted_atoms(kept)
-        self.sp_valuations = {
-            sym: [frozenset(v) for size in range(len(sp) + 1)
-                  for v in itertools.combinations(sp, size)]
-            for sym, sp in predicted.items()}
+        self.sp_valuations = {sym: feasible_truth_sets(sp)
+                              for sym, sp in predicted.items()}
         return universe_for
 
     def start(self, initial: int) -> int:

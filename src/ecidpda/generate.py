@@ -10,6 +10,7 @@ from .constraints import And, Constraint, Not, Or, TRUE, atom
 from .timed import Clock, ClockKind, PartitionedAlphabet, TimedString
 
 DEFAULT_ALPHABET = PartitionedAlphabet({"<"}, {">"}, {"c", "d"})
+GUARD_DEPTH = 3
 
 _BOUND_POOL = [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2),
                Fraction(2)]
@@ -46,10 +47,10 @@ def _random_formula(rng: random.Random, atom_pool: list, depth: int) -> Constrai
 
 def random_automaton(rng: random.Random, *, max_states: int = 3,
                      max_stack: int = 2, max_atoms: int = 3,
-                     guard_depth: int = 3, timed: bool = True,
-                     alphabet: PartitionedAlphabet = DEFAULT_ALPHABET
-                     ) -> Ecidpda:
-    """A random ECIDPDA with at least one initial and one accepting state."""
+                     timed: bool = True) -> Ecidpda:
+    """A random ECIDPDA over DEFAULT_ALPHABET with at least one initial and
+    one accepting state, and guards at most GUARD_DEPTH levels deep."""
+    alphabet = DEFAULT_ALPHABET
     n_states = rng.randint(1, max_states)
     states = [f"q{i}" for i in range(n_states)]
     n_stack = rng.randint(1, max_stack)
@@ -73,7 +74,7 @@ def random_automaton(rng: random.Random, *, max_states: int = 3,
     def guard() -> Constraint:
         if not timed:
             return TRUE
-        return random_guard(rng, atom_pool, guard_depth)
+        return random_guard(rng, atom_pool, GUARD_DEPTH)
 
     # Sparse rule sampling: dense call/return nondeterminism makes the
     # determinized pair-set space explode combinatorially, which buries the

@@ -6,12 +6,20 @@ must never go through floats.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
+
+# An optional sign, then an integer, a decimal or p/q in ASCII digits.  No
+# exponent: Fraction would expand "1e999999999" into a 10^e integer.
+_RATIONAL = re.compile(r"[+-]?(?:[0-9]+/[0-9]+|[0-9]+(?:\.[0-9]*)?|\.[0-9]+)")
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse a decimal ("0.6") or slash ("3/5") rational literal."""
+    """Parse an integer ("2"), decimal ("0.6") or slash ("3/5") rational
+    literal with an optional sign."""
     text = text.strip()
+    if not _RATIONAL.fullmatch(text):
+        raise ValueError(f"not a rational literal: {text!r}")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:

@@ -293,20 +293,18 @@ def longest_well_nested_suffix_start(w: TimedString, i: int) -> int:
     return last_unmatched + 1
 
 
-def load_timed_string(path_or_text: str, *, is_text: bool = False) -> TimedString:
+def load_timed_string(path: str) -> TimedString:
     """Load a timed string from a JSON file, or from line-oriented text when
-    the content does not parse as JSON.
+    the content does not start with `{`.
 
     Line format: `symbol timestamp` per event, `#`-comments allowed, preceded
     by three directive lines `calls: ...`, `returns: ...`, `internals: ...`
-    listing the alphabet.
+    listing the alphabet.  Timestamps, in both formats, are integers,
+    decimals or p/q, with an optional sign.
     """
     try:
-        if is_text:
-            content = path_or_text
-        else:
-            with open(path_or_text, "r", encoding="utf-8") as fh:
-                content = fh.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            content = fh.read()
         data = None
         if content.lstrip().startswith("{"):
             data = json.loads(content)

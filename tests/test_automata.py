@@ -74,6 +74,29 @@ class TestSimulate:
         with pytest.raises(AutomatonError):
             simulate(a, w)
 
+    @staticmethod
+    def _predicted_pair(alphabet) -> Ecidpda:
+        return Ecidpda(alphabet, ["q0", "q1", "q2"], ["q0"], ["q2"], ["g"], [
+            CallRule("q0", "<", parse_guard("stackpred <= 1"), "q1", "g"),
+            ReturnRule("q1", ">", "g", TRUE, "q2"),
+        ])
+
+    def test_string_must_class_symbols_as_the_automaton(self,
+                                                        bracket_alphabet):
+        # Read as internals, the brackets would leave stackpred undefined.
+        a = self._predicted_pair(bracket_alphabet)
+        flat = PartitionedAlphabet(set(), set(), {"<", ">", "c"})
+        events = [("<", F(1)), (">", F(3, 2))]
+        assert simulate(a, TimedString(bracket_alphabet, events)).accepted
+        with pytest.raises(AutomatonError, match="classed differently"):
+            simulate(a, TimedString(flat, events))
+
+    def test_consistent_sub_alphabet_runs(self, bracket_alphabet):
+        a = self._predicted_pair(bracket_alphabet)
+        brackets = PartitionedAlphabet({"<"}, {">"}, set())
+        w = TimedString(brackets, [("<", F(1)), (">", F(3, 2))])
+        assert simulate(a, w).accepted
+
     def test_bottom_return_fires_on_empty_stack(self, bracket_alphabet):
         a = Ecidpda(bracket_alphabet, ["q0", "q1"], ["q0"], ["q1"], ["g"], [
             ReturnRule("q0", ">", None, TRUE, "q1"),

@@ -8,8 +8,8 @@ import pytest
 
 import ecidpda.automata as automata_module
 import ecidpda.cli as cli_module
-from ecidpda import (DETERMINISTIC, Ecidpda, TRUE, embed_untimed,
-                     is_deterministic)
+from ecidpda import (CallRule, DETERMINISTIC, Ecidpda, ReturnRule, TRUE,
+                     embed_untimed, is_deterministic, parse_guard)
 from ecidpda.cli import EXIT_ACCEPT, EXIT_ERROR, EXIT_REJECT, main
 from ecidpda.generate import random_automaton
 from ecidpda.timed import ClockKind, PartitionedAlphabet
@@ -70,6 +70,23 @@ class TestRun:
 
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == EXIT_ERROR
+
+    @pytest.mark.parametrize("header, code", [
+        (["calls: <", "returns: >", "internals: c"], EXIT_ACCEPT),
+        (["internals: < > c"], EXIT_ERROR),
+    ])
+    def test_string_classes_must_match_the_automaton(self, header, code,
+                                                     tmp_path, capsys):
+        alphabet = PartitionedAlphabet({"<"}, {">"}, {"c"})
+        a = Ecidpda(alphabet, ["q0", "q1", "q2"], ["q0"], ["q2"], ["g"], [
+            CallRule("q0", "<", parse_guard("stackpred <= 1"), "q1", "g"),
+            ReturnRule("q1", ">", "g", TRUE, "q2")])
+        automaton, string = tmp_path / "a.json", tmp_path / "w.txt"
+        a.save(str(automaton))
+        string.write_text("\n".join(header + ["< 1", "> 1.5"]) + "\n")
+        assert main(["run", str(automaton), str(string)]) == code
+        if code == EXIT_ERROR:
+            assert "classed differently" in capsys.readouterr().err
 
 
 class TestDeterminize:
@@ -149,6 +166,25 @@ class TestBadInput:
         assert main(["run", bracket_files["automaton"], str(path)]) \
             == EXIT_ERROR
         assert "error:" in capsys.readouterr().err
+
+    def test_exponent_in_json_event(self, bracket_files, tmp_path, capsys):
+        # Fraction would expand the exponent into a 10^999999999 integer.
+        path = tmp_path / "exponent.json"
+        path.write_text(json.dumps({
+            "alphabet": {"calls": ["<"], "returns": [">"],
+                         "internals": ["c", "d"]},
+            "events": [["c", "1e999999999"]]}))
+        assert main(["run", bracket_files["automaton"], str(path)]) \
+            == EXIT_ERROR
+        assert "not a rational literal" in capsys.readouterr().err
+
+    def test_exponent_in_text_event(self, bracket_files, tmp_path, capsys):
+        path = tmp_path / "exponent.txt"
+        path.write_text("calls: <\nreturns: >\ninternals: c d\n"
+                        "c 1e999999999\n")
+        assert main(["run", bracket_files["automaton"], str(path)]) \
+            == EXIT_ERROR
+        assert "not a rational literal" in capsys.readouterr().err
 
     def test_directory_as_automaton(self, bracket_files, tmp_path, capsys):
         assert main(["check-det", str(tmp_path)]) == EXIT_ERROR
@@ -333,6 +369,28 @@ class TestWitness:
         assert code == EXIT_ACCEPT
         assert "checked 32 specs, 0 disagreements" in out
         assert len(built) == 2
+
+    @pytest.mark.parametrize("mode", ["exhaustive", "spec"])
+    def test_n_3_is_refused_before_building(self, mode, no_compile,
+                                            tmp_path, monkeypatch, capsys):
+        # The n = 3 compile runs out of memory instead of finishing.
+        def built(*_args):
+            raise AssertionError("built a witness automaton")
+        monkeypatch.setattr(cli_module, "build_witness_nfa", built)
+        argv = ["witness", "--n", "3", "--k", "1", "--m", "1"]
+        if mode == "spec":
+            spec_path = tmp_path / "spec.json"
+            spec_path.write_text(json.dumps({
+                "n": 3, "k": 1, "m": 1, "s": [0, 2],
+                "R": [[[0, 2]]], "X": [["e1"]], "Y": [["e1"]],
+            }))
+            argv += ["--spec", str(spec_path)]
+        else:
+            argv += ["--exhaustive"]
+        assert main(argv) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert "n <= 2" in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("n, k", [("1", "1"), ("3", "1"), ("2", "2")])
     def test_spec_parameters_must_match_flags(self, n, k, tmp_path,

@@ -12,7 +12,8 @@ from ecidpda import (And, Atom, ConstraintError, FALSE, Not, Or,
                      atoms, desugar, eval_under, evaluate, format_guard,
                      hist, mutually_exclusive, parse_guard, pred, stack_hist,
                      stack_pred, xi)
-from ecidpda.constraints import (MAX_GUARD_DEPTH, assignment_feasible,
+import ecidpda.constraints as constraints_module
+from ecidpda.constraints import (MAX_GUARD_DEPTH, feasible_truth_sets,
                                  sorted_atoms)
 from ecidpda.generate import random_clock
 
@@ -73,14 +74,8 @@ class TestEvaluate:
 
 class TestEvalUnder:
     def test_basic(self):
-        assert eval_under(A, {A}, universe={A}) is True
-        assert eval_under(Not(A), {B}, universe={A, B}) is True
-
-    def test_universe_violations(self):
-        with pytest.raises(ConstraintError):
-            eval_under(A, set(), universe={B})
-        with pytest.raises(ConstraintError):
-            eval_under(A, {B}, universe={A})
+        assert eval_under(A, {A}) is True
+        assert eval_under(Not(A), {B}) is True
 
     def test_compositionality(self, bracket_alphabet):
         from ecidpda.generate import random_guard
@@ -173,14 +168,71 @@ class TestMutuallyExclusive:
             for phi, psi in exclusive_pairs:
                 assert not (evaluate(phi, w, i) and evaluate(psi, w, i))
 
-    def test_feasibility_of_contradictory_assignment(self):
+    def test_below_zero_is_impossible(self):
+        # v <= 0 and not v >= 0 needs v < 0, and clock values are at least 0.
+        below = desugar("<", hist("c"), 0)
+        assert mutually_exclusive(below, TRUE) == PROVABLY_EXCLUSIVE
+
+    def test_visits_only_feasible_truth_sets(self, monkeypatch):
+        # 24 atoms: 2^24 assignments, but 8 truth sets on each of 4 clocks.
+        universe = sorted_atoms(
+            atom(clock, op, F(b, 2))
+            for clock in (hist("c"), pred("d"), stack_hist(), stack_pred())
+            for b, op in enumerate(["<=", ">="] * 3))
+        feasible = feasible_truth_sets(universe)
+        assert len(universe) == 24 and len(feasible) == 8 ** 4
+        calls = []
+        real = constraints_module.eval_under
+
+        def counting(*args):
+            calls.append(None)
+            return real(*args)
+
+        monkeypatch.setattr(constraints_module, "eval_under", counting)
+        phi, psi = xi(universe, feasible[5]), xi(universe, feasible[-5])
+        assert mutually_exclusive(phi, psi) == PROVABLY_EXCLUSIVE
+        # phi holds only on its own truth set, so psi is read once.
+        assert len(calls) == len(feasible) + 1
+
+
+class TestFeasibleTruthSets:
+    def test_contradictory_assignment(self):
         le = atom(hist("c"), "<=", 1)
         ge = atom(hist("c"), ">=", 2)
-        universe = sorted_atoms([le, ge])
-        assert not assignment_feasible(universe, frozenset([le, ge]))
-        assert assignment_feasible(universe, frozenset([le]))
+        feasible = feasible_truth_sets(sorted_atoms([le, ge]))
+        assert frozenset([le, ge]) not in feasible
+        assert frozenset([le]) in feasible
         # Both false is always feasible: the clock may be undefined.
-        assert assignment_feasible(universe, frozenset())
+        assert frozenset() in feasible
+
+    def test_equals_brute_force_over_quarter_valuations(self):
+        rng = random.Random(18)
+        clocks = [hist("c"), pred("d"), stack_hist(), stack_pred(),
+                  hist("<")]
+        bounds = [F(0), F(1, 2), F(1), F(3, 2), F(2)]
+        # Bounds are multiples of 1/2, so the quarters 0..3 include a value
+        # inside every region; None leaves the clock undefined.
+        values = [None] + [F(q, 4) for q in range(13)]
+        for _ in range(120):
+            used = rng.sample(clocks, rng.randint(1, 3))
+            universe = sorted_atoms(
+                atom(rng.choice(used), rng.choice(["<=", ">="]),
+                     rng.choice(bounds))
+                for _ in range(rng.randint(1, 6)))
+            seen = set()
+            for valuation in itertools.product(values, repeat=len(used)):
+                value_of = dict(zip(used, valuation))
+                seen.add(sum(
+                    1 << j for j, a in enumerate(universe)
+                    if value_of[a.clock] is not None
+                    and (value_of[a.clock] <= a.bound if a.op == "<="
+                         else value_of[a.clock] >= a.bound)))
+            want = [frozenset(a for j, a in enumerate(universe)
+                              if mask >> j & 1) for mask in sorted(seen)]
+            assert feasible_truth_sets(universe) == want, universe
+
+    def test_empty_universe(self):
+        assert feasible_truth_sets(()) == [frozenset()]
 
 
 # Any guard the grammar can express: atoms over each clock kind with bounds
@@ -233,6 +285,11 @@ class TestGuardText:
     def test_parse_errors(self, bad):
         with pytest.raises((ConstraintError, ValueError)):
             parse_guard(bad)
+
+    def test_exponent_bound_is_rejected(self):
+        # Fraction would expand the exponent into a 10^999999999 integer.
+        with pytest.raises(ConstraintError, match="not a rational literal"):
+            parse_guard("hist(c) <= 1e999999999")
 
     def test_example_guards_parse(self, example_string):
         g_true = parse_guard("stackhist > 0.1 or pred(c) >= 0")

@@ -15,8 +15,8 @@ import ecidpda.determinize as determinize_module
 from ecidpda import (AutomatonError, DETERMINISTIC, Ecidpda, InternalRule,
                      TRUE, atom, atoms, desugar, determinize_direct,
                      determinize_no_stack_prediction, determinize_untimed,
-                     build_witness_nfa, embed_untimed, is_deterministic,
-                     pair_semantics_oracle, simulate, stack_pred)
+                     build_witness_nfa, embed_untimed, hist, is_deterministic,
+                     pair_semantics_oracle, simulate, stack_pred, xi)
 from ecidpda.automata import RuleIndex
 from ecidpda.determinize import (pair_set_name, parse_pair_set_name,
                                  parse_survivor_name)
@@ -110,6 +110,15 @@ class TestDirect:
         for _ in range(25):
             a = random_automaton(rng, timed=False)
             assert determinize_untimed(a) == determinize_direct(a)
+
+    def test_no_rule_for_a_clock_below_zero(self, bracket_alphabet):
+        # hist(c) <= 0 without hist(c) >= 0 needs a negative clock value.
+        le, ge = atom(hist("c"), "<=", 0), atom(hist("c"), ">=", 0)
+        a = Ecidpda(bracket_alphabet, ["q0"], ["q0"], ["q0"], [], [
+            InternalRule("q0", "c", guard, "q0") for guard in (le, ge, TRUE)])
+        det = determinize_direct(a)
+        guards = [rule.guard for rule in det.rules if rule.symbol == "c"]
+        assert guards == [xi((le, ge), s) for s in (set(), {ge}, {le, ge})]
 
 
 class TestNoStackPrediction:

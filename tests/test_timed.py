@@ -22,10 +22,19 @@ F = Fraction
 class TestRationals:
     @pytest.mark.parametrize("text,value", [
         ("0.6", F(3, 5)), ("1", F(1)), ("3/4", F(3, 4)), ("0", F(0)),
-        ("2.25", F(9, 4)), ("10/4", F(5, 2)),
+        ("2.25", F(9, 4)), ("10/4", F(5, 2)), ("-2", F(-2)), ("+.5", F(1, 2)),
+        ("5.", F(5)), (" 7/2 ", F(7, 2)),
     ])
     def test_parse(self, text, value):
         assert parse_rational(text) == value
+
+    @pytest.mark.parametrize("text", [
+        "1e999999999", "1E5", "2.5e-1", "1_000", "inf", "nan", "1.5/2",
+        "0x10", "\u0663", "", "-", ".", "1/0",
+    ])
+    def test_only_the_documented_forms_parse(self, text):
+        with pytest.raises(ValueError, match="not a rational literal"):
+            parse_rational(text)
 
     @pytest.mark.parametrize("value", [F(3, 5), F(0), F(7), F(1, 3), F(9, 4)])
     def test_round_trip(self, value):
@@ -72,12 +81,13 @@ class TestTimedString:
         data = json.loads(json.dumps(example_string.to_json()))
         assert TimedString.from_json(data) == example_string
 
-    def test_line_format(self):
-        text = "\n".join([
+    def test_line_format(self, tmp_path):
+        path = tmp_path / "w.txt"
+        path.write_text("\n".join([
             "calls: <", "returns: >", "internals: c d",
             "c 0.1  # leading internal", "< 0.2", "> 0.7",
-        ])
-        w = load_timed_string(text, is_text=True)
+        ]))
+        w = load_timed_string(str(path))
         assert w.symbols == ("c", "<", ">")
         assert w.time(2) == F(1, 5)
 
