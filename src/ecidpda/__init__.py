@@ -15,9 +15,10 @@ from .determinize import (determinize_direct, determinize_no_stack_prediction,
                           size_bounds)
 from .rat import format_rational, parse_rational
 from .timed import (Clock, ClockKind, PartitionedAlphabet, TimedString,
-                    TimedStringError, clock_value, compute_matching, hist,
-                    load_timed_string, longest_well_nested_suffix_start, pred,
-                    stack_hist, stack_pred)
+                    TimedStringError, clock_ticks, clock_value,
+                    compute_matching, hist, load_timed_string,
+                    longest_well_nested_suffix_start, pred, stack_hist,
+                    stack_pred)
 from .witness import (SuffixPlan, WitnessError, WitnessSpec, build_prefix,
                       build_suffix, build_well_formed, build_witness_nfa,
                       combined_spec, concat_timed, distinguishing_suffix,

@@ -5,11 +5,20 @@ internals; timestamps are exact rationals and must strictly increase.
 Positions are 1-based throughout.
 
 Event clocks are fixed by the string alone, so each `TimedString` keeps a
-clock index that `clock_value` fills in on first use: the bracket-partner
-array (from `compute_matching`) on the first stack-clock read, and a
-symbol's sorted occurrence positions on the first `hist`/`pred` read of that
-symbol.  Building a part costs one O(n) scan; every later read is an array
-lookup or a binary search over one symbol's positions.
+clock index.  Its constructor stores the string's scale D, the lcm of the
+timestamp denominators, and the int ticks T_i = t_i * D, so a clock value,
+a difference of two timestamps, is a difference of two ticks over D
+(`clock_ticks` returns it as ticks, `clock_value` as a `Fraction`).  Scaling
+every value by D changes no comparison, so atoms compare ints exactly (Alur
+and Dill, A theory of timed automata, TCS 1994).  The rest of the index is
+filled in on first use: the bracket-partner array (from `compute_matching`)
+on the first stack-clock read, and a symbol's sorted occurrence positions on
+the first `hist`/`pred` read of that symbol.  Building a part costs one O(n)
+scan; every later read is an array lookup or a binary search over one
+symbol's positions.
+
+D grows with the product of distinct denominators, so a string whose D
+would need more than MAX_SCALE_BITS bits is refused.
 """
 
 from __future__ import annotations
@@ -20,6 +29,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from .rat import format_rational, parse_rational
@@ -27,6 +37,13 @@ from .rat import format_rational, parse_rational
 
 class TimedStringError(ValueError):
     """Raised on malformed alphabets, events or timestamps."""
+
+
+# The largest scale, in bits, that a timed string may have.  A 308-digit
+# decimal timestamp still fits.  Without a limit, n timestamps with distinct
+# prime denominators would make D, and so each tick, about as long as all n
+# primes together: memory quadratic in n.
+MAX_SCALE_BITS = 1024
 
 
 def _is_string_list(value) -> bool:
@@ -141,19 +158,33 @@ class TimedString:
 
     def __init__(self, alphabet: PartitionedAlphabet,
                  events: Sequence[tuple[str, Fraction]]):
+        events = tuple((sym, t if type(t) is Fraction else Fraction(t))
+                       for sym, t in events)
         object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "events", tuple(
-            (sym, t if type(t) is Fraction else Fraction(t))
-            for sym, t in events))
-        prev = None
-        for pos, (sym, t) in enumerate(self.events, start=1):
-            if sym not in alphabet:
+        object.__setattr__(self, "events", events)
+        ratios = [t.as_integer_ratio() for _, t in events]
+        scale = 1
+        for pos, (_, den) in enumerate(ratios, start=1):
+            if scale % den:
+                scale = lcm(scale, den)
+                if scale.bit_length() > MAX_SCALE_BITS:
+                    raise TimedStringError(
+                        f"the timestamps up to position {pos} need a common "
+                        f"denominator of more than {MAX_SCALE_BITS} bits")
+        ticks = tuple([num * (scale // den) for num, den in ratios])
+        symbols = alphabet.symbols
+        for pos, (sym, _) in enumerate(events):
+            if sym not in symbols:
                 raise TimedStringError(
-                    f"symbol {sym!r} at position {pos} is not in the alphabet")
-            if prev is not None and t <= prev:
+                    f"symbol {sym!r} at position {pos + 1} is not in the "
+                    f"alphabet")
+            if pos and ticks[pos] <= ticks[pos - 1]:
                 raise TimedStringError(
-                    f"timestamps must strictly increase at position {pos}")
-            prev = t
+                    f"timestamps must strictly increase at position {pos + 1}")
+        # Kept in the instance dict, outside the dataclass fields, so the
+        # clock index takes no part in eq, hash or repr.
+        object.__setattr__(self, "_scale", scale)
+        object.__setattr__(self, "_ticks", ticks)
 
     def __len__(self) -> int:
         return len(self.events)
@@ -166,6 +197,12 @@ class TimedString:
     def time(self, i: int) -> Fraction:
         self._check_pos(i)
         return self.events[i - 1][1]
+
+    @property
+    def scale(self) -> int:
+        """D, the lcm of the timestamp denominators: every timestamp and
+        clock value is an integer multiple of 1/D."""
+        return self._scale
 
     def _check_pos(self, i: int) -> None:
         if not 1 <= i <= len(self.events):
@@ -234,7 +271,14 @@ def compute_matching(w: TimedString) -> Matching:
 
 
 def clock_value(w: TimedString, i: int, clock: Clock) -> Optional[Fraction]:
-    """Value of an event clock at position i, or None when undefined.
+    """Value of an event clock at position i, or None when undefined."""
+    ticks = clock_ticks(w, i, clock)
+    return None if ticks is None else Fraction(ticks, w.scale)
+
+
+def clock_ticks(w: TimedString, i: int, clock: Clock) -> Optional[int]:
+    """Value of an event clock at position i times the string's scale
+    `w.scale`, an int, or None when undefined.
 
     The first read of a clock kind (per symbol for hist/pred) on a string
     indexes it in O(n); later reads cost O(log n).
@@ -243,7 +287,7 @@ def clock_value(w: TimedString, i: int, clock: Clock) -> Optional[Fraction]:
     # The index lives in the instance dict, outside the dataclass fields, so
     # it takes no part in eq, hash or repr.
     index = w.__dict__
-    events = w.events
+    ticks = index["_ticks"]
     kind = clock.kind
     if kind is ClockKind.STACK_HISTORY or kind is ClockKind.STACK_PREDICTION:
         partner = index.get("_partner")
@@ -254,21 +298,21 @@ def clock_value(w: TimedString, i: int, clock: Clock) -> Optional[Fraction]:
         if j is None:
             return None
         if kind is ClockKind.STACK_HISTORY:
-            return events[i - 1][1] - events[j - 1][1] if j < i else None
-        return events[j - 1][1] - events[i - 1][1] if j > i else None
+            return ticks[i - 1] - ticks[j - 1] if j < i else None
+        return ticks[j - 1] - ticks[i - 1] if j > i else None
     occurrences = index.get("_occurrences")
     if occurrences is None:
         occurrences = index["_occurrences"] = {}
     at = occurrences.get(clock.symbol)
     if at is None:
         at = occurrences[clock.symbol] = [
-            j for j, (sym, _) in enumerate(events, start=1)
+            j for j, (sym, _) in enumerate(w.events, start=1)
             if sym == clock.symbol]
     if kind is ClockKind.SYMBOL_HISTORY:
         k = bisect_left(at, i)
-        return events[i - 1][1] - events[at[k - 1] - 1][1] if k else None
+        return ticks[i - 1] - ticks[at[k - 1] - 1] if k else None
     k = bisect_right(at, i)
-    return events[at[k] - 1][1] - events[i - 1][1] if k < len(at) else None
+    return ticks[at[k] - 1] - ticks[i - 1] if k < len(at) else None
 
 
 def longest_well_nested_suffix_start(w: TimedString, i: int) -> int:

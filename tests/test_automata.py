@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import ecidpda.automata as automata_module
+import ecidpda.constraints as constraints_module
 from ecidpda import (And, AutomatonError, CallRule, DETERMINISTIC,
                      Ecidpda, FALSE, InternalRule, NondeterminismWitness,
                      Not, Or, ReturnRule, TRUE, atom, build_witness_nfa,
@@ -274,6 +275,59 @@ def reference_run(a: Ecidpda, w: TimedString) -> RunResult:
         trace.append(frozenset(configs))
     return RunResult(any(q in a.accepting for q, _ in configs),
                      frozenset(configs), tuple(trace))
+
+
+class TestTracedClockAttribute:
+    """Atoms read their clocks through the module attribute
+    `constraints.clock_value`, which the benchmark's traced run wraps as its
+    `timed.clock_value` layer.  A read that bypassed it would make that
+    layer read 0; one that went through it twice would count double."""
+
+    @pytest.fixture
+    def clock_reads(self, monkeypatch):
+        reads = []
+        original = constraints_module.clock_value
+
+        def counting(w, i, clock):
+            reads.append(i)
+            return original(w, i, clock)
+
+        monkeypatch.setattr(constraints_module, "clock_value", counting)
+        return reads
+
+    def test_one_read_per_atom_evaluation(self, example_string,
+                                          clock_reads):
+        for clock in (hist("c"), pred("d"), stack_hist(), stack_pred()):
+            for i in range(1, len(example_string) + 1):
+                clock_reads.clear()
+                evaluate(atom(clock, "<=", F(1, 3)), example_string, i)
+                assert clock_reads == [i]
+
+    def test_one_read_per_distinct_atom_in_a_step(self, workloads,
+                                                  clock_reads, monkeypatch):
+        evaluated = []
+
+        def recording(phi, w, i):
+            evaluated.append(id(phi))
+            return evaluate(phi, w, i)
+
+        monkeypatch.setattr(automata_module, "evaluate", recording)
+        w = workloads.bracket_string(random.Random(45), 100)
+        total = 0
+        for spec in workloads.MONITOR_AUTOMATA:
+            a = workloads.monitor_automaton(spec)
+            for form in (a, determinize_direct(a)):
+                index = RuleIndex(form)
+                # The second pass decides groups by their decision tables.
+                for _ in range(2):
+                    configs = {(q, ()) for q in form.initial}
+                    for i in range(1, len(w) + 1):
+                        clock_reads.clear()
+                        evaluated.clear()
+                        configs = index.step(configs, w, i)
+                        assert len(clock_reads) == len(set(evaluated))
+                        total += len(clock_reads)
+        assert total > 0
 
 
 class TestDeadRuns:

@@ -186,6 +186,34 @@ class TestBadInput:
             == EXIT_ERROR
         assert "not a rational literal" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("form", ["text", "json"])
+    def test_timestamps_past_the_scale_limit(self, form, bracket_files,
+                                             tmp_path, capsys):
+        # Timestamps k + 1/(k+2): their common denominator passes
+        # MAX_SCALE_BITS after about 700 of the 100,000 events.
+        stamps = [f"{k * (k + 2) + 1}/{k + 2}" for k in range(100_000)]
+        path = tmp_path / f"scale.{form}"
+        if form == "text":
+            path.write_text("calls: <\nreturns: >\ninternals: c d\n"
+                            + "".join(f"c {t}\n" for t in stamps))
+        else:
+            path.write_text(json.dumps({
+                "alphabet": {"calls": ["<"], "returns": [">"],
+                             "internals": ["c", "d"]},
+                "events": [["c", t] for t in stamps]}))
+        assert main(["run", bracket_files["automaton"], str(path)]) \
+            == EXIT_ERROR
+        assert "common denominator of more than" in capsys.readouterr().err
+
+    def test_equal_timestamps_written_differently(self, bracket_files,
+                                                  tmp_path, capsys):
+        path = tmp_path / "equal.txt"
+        path.write_text("calls: <\nreturns: >\ninternals: c d\n"
+                        "c 0.5\nd 1/2\n")
+        assert main(["run", bracket_files["automaton"], str(path)]) \
+            == EXIT_ERROR
+        assert "increase at position 2" in capsys.readouterr().err
+
     def test_directory_as_automaton(self, bracket_files, tmp_path, capsys):
         assert main(["check-det", str(tmp_path)]) == EXIT_ERROR
         assert "error:" in capsys.readouterr().err

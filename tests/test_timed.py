@@ -3,14 +3,19 @@
 import json
 import random
 from fractions import Fraction
+from time import perf_counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ecidpda import (Clock, ClockKind, PartitionedAlphabet, TimedString,
-                     TimedStringError, clock_value, compute_matching, hist,
-                     load_timed_string, longest_well_nested_suffix_start,
-                     pred, stack_hist, stack_pred)
+from ecidpda import (TRUE, Clock, ClockKind, Ecidpda, InternalRule,
+                     PartitionedAlphabet, TimedString, TimedStringError, atom,
+                     clock_ticks, clock_value, compute_matching, desugar,
+                     evaluate, hist, load_timed_string,
+                     longest_well_nested_suffix_start, pred, simulate,
+                     stack_hist, stack_pred)
 from ecidpda import timed as timed_module
+from ecidpda.timed import MAX_SCALE_BITS
 from ecidpda.rat import format_rational, parse_rational
 
 from .conftest import (all_bracket_patterns, random_symbols,
@@ -296,6 +301,96 @@ class TestClockIndex:
         clock_value(w, 2, hist("<"))
         assert w == fresh and hash(w) == hash(fresh)
         assert repr(w) == repr(fresh)
+
+
+class TestExactTicks:
+    """A string keeps its timestamps as ints over one scale D, the lcm of
+    their denominators; clock values and atom truths stay exact."""
+
+    def test_scale_and_ticks(self, example_string):
+        w = example_string
+        assert w.scale == 10
+        assert clock_ticks(w, 6, stack_hist()) == 6
+        assert clock_ticks(w, 6, pred("d")) == 2
+        assert clock_ticks(w, 6, pred("c")) is None
+        empty = TimedString(w.alphabet, [])
+        assert len(empty) == 0 and empty.scale == 1
+        with pytest.raises(IndexError):
+            clock_ticks(empty, 1, hist("c"))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-30, 30),
+                              st.sampled_from([1, 2, 3, 5, 7, 12])),
+                    max_size=12),
+           st.randoms(use_true_random=False))
+    def test_clocks_and_atoms_agree_with_fractions(self, stamps, rng):
+        # Mixed denominators, integer and negative timestamps, and the
+        # empty string; the bounds are each defined value itself (the
+        # boundary) and values with denominators 11 and 13, which never
+        # divide D.
+        alphabet = PartitionedAlphabet({"<"}, {">"}, {"c", "d"})
+        times = sorted({F(p, q) for p, q in stamps})
+        w = TimedString(alphabet, [(rng.choice("<>cd"), t) for t in times])
+        assert all(w.scale % t.denominator == 0 for t in times)
+        for i in range(1, len(w) + 1):
+            for clock in all_clocks(alphabet):
+                value = reference_clock_value(w, i, clock)
+                assert clock_value(w, i, clock) == value
+                bounds = [F(0), F(5, 11), F(12, 13), F(3)]
+                if value is not None:
+                    bounds += [value, value + F(1, 11), value - F(1, 13)]
+                for bound in bounds:
+                    if bound < 0:
+                        continue
+                    for op in ("<=", ">="):
+                        want = value is not None and (
+                            value <= bound if op == "<=" else value >= bound)
+                        assert evaluate(atom(clock, op, bound), w, i) == want
+
+    def test_a_string_at_the_scale_limit_runs(self, bracket_alphabet):
+        tick = F(1, 2 ** (MAX_SCALE_BITS - 1))
+        w = TimedString(bracket_alphabet,
+                        [("c", tick), ("c", 2 * tick), ("d", 1)])
+        assert w.scale.bit_length() == MAX_SCALE_BITS
+        assert clock_value(w, 2, hist("c")) == tick
+        # At position 2 hist(c) is exactly one tick; at 3 it is 1 - 2 ticks,
+        # compared with a bound whose denominator does not divide D.
+        a = Ecidpda(bracket_alphabet, ["q0", "q1", "q2", "q3"], ["q0"],
+                    ["q3"], [],
+                    [InternalRule("q0", "c", TRUE, "q1"),
+                     InternalRule("q1", "c", desugar("=", hist("c"), tick),
+                                  "q2"),
+                     InternalRule("q2", "d", atom(hist("c"), ">=", F(2, 3)),
+                                  "q3")])
+        assert simulate(a, w).accepted
+        with pytest.raises(TimedStringError, match=str(MAX_SCALE_BITS)):
+            TimedString(bracket_alphabet, [("c", tick / 2)])
+
+    def test_a_long_string_past_the_scale_limit_is_refused_fast(
+            self, bracket_alphabet):
+        # Timestamps k + 1/(k+2): the lcm of 2, 3, ..., k+2 passes
+        # MAX_SCALE_BITS after about 700 events.
+        events = [("c", F(k * (k + 2) + 1, k + 2)) for k in range(100_000)]
+        started = perf_counter()
+        with pytest.raises(TimedStringError, match="position 7[0-9][0-9] "):
+            TimedString(bracket_alphabet, events)
+        assert perf_counter() - started < 1.0
+
+    def test_increase_is_checked_on_ticks(self, bracket_alphabet, tmp_path):
+        for events, pos in [
+            ([("c", F(2, 4)), ("d", F(1, 2))], 2),
+            ([("c", F(1, 3)), ("d", F(1, 2)), ("c", F(5, 12))], 3),
+            ([("c", F(-1, 2)), ("d", F(1, 7)), ("c", F(1, 7))], 3),
+        ]:
+            with pytest.raises(TimedStringError,
+                               match=f"increase at position {pos}$"):
+                TimedString(bracket_alphabet, events)
+        path = tmp_path / "w.txt"
+        path.write_text("calls: <\nreturns: >\ninternals: c d\n"
+                        "c 0.5\nd 1/2\n")
+        with pytest.raises(TimedStringError,
+                           match="increase at position 2$"):
+            load_timed_string(str(path))
 
 
 class TestSuffixStart:
