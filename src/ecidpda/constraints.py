@@ -36,6 +36,17 @@ class Atom:
             raise ConstraintError(f"atomic operator must be <= or >=: {self.op}")
         if self.bound < 0:
             raise ConstraintError("atomic bound must be nonnegative")
+        # The generated hash's value, computed once: truth sets are probed
+        # and built atom by atom.  __reduce__ rebuilds from the fields, so a
+        # copy hashes again in the process that loads it.
+        object.__setattr__(self, "_hash",
+                           hash((self.clock, self.op, self.bound)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (Atom, (self.clock, self.op, self.bound))
 
     def sort_key(self) -> tuple:
         return (*self.clock.sort_key(), self.op, self.bound)

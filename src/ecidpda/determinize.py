@@ -33,10 +33,15 @@ context below the call (Alur and Madhusudan, Visibly pushdown languages,
 STOC 2004), so the summaries are computed once per (inner pair set,
 bracket, pushed truth set), the empty ones are dropped, and each of the
 rest is applied to the outer pair set of every stack symbol that pushed
-that bracket and truth set.  Return truth sets that select the same
-relations share one summary, composed and applied once.  Names are built
-only at the boundary, from a per-bit "(p,q)" table: ascending bits give
-pair_set_name's sorted order.
+that bracket and truth set, split into rows once per outer pair set.  The
+return truth sets fall into classes: those that replay the same pushes and
+consult the same return relations share one summary, composed and applied
+once.  The classes depend on the inner pair set only through its anchor
+mask, its non-empty rows, so a plan per (bracket, pushed truth set, anchor
+mask) lists them once.  Classing only groups the return relations a plan
+consults; it builds no other relation, so it evaluates no extra guard.
+Names are built only at the boundary, from a per-bit "(p,q)" table:
+ascending bits give pair_set_name's sorted order.
 """
 
 from __future__ import annotations
@@ -175,7 +180,9 @@ class _Direct:
         self._steps: dict = {}
         self._pushes: dict = {}
         self._shared: dict[tuple[int, ...], _Relation] = {}
+        self._plans: dict = {}
         self._summaries: dict = {}
+        self._outer_rows: dict[int, list[tuple[int, int]]] = {}
         self.initial = self.mask(a.initial)
         self.final = self.mask(a.accepting)
         # Truth sets and guards are per symbol: a transition only needs to
@@ -233,10 +240,13 @@ class _Direct:
 
     def rows(self, pairs: int) -> list[tuple[int, int]]:
         """(shift, row) for each anchor with a non-empty row: an outer pair
-        set split once, for _apply to take the images of its rows under
-        several pop summaries."""
+        set split once, memoized, for _apply to take the images of its rows
+        under every pop summary applied to it."""
+        found = self._outer_rows.get(pairs)
+        if found is not None:
+            return found
         n, row = self.n, self.row
-        found = []
+        found = self._outer_rows[pairs] = []
         shift = 0
         while pairs:
             targets = pairs & row
@@ -268,6 +278,48 @@ class _Direct:
             pairs >>= n
         return out
 
+    def plan(self, bracket: str, s_push, anchors: int) -> tuple:
+        """The classes of return truth sets for inner pair sets whose
+        non-empty rows are the anchor mask, memoized.  Returns (classes,
+        template): per class, in first-seen order, [(return relation,
+        [(q, call entries of q among the anchors)])]; and [(return symbol,
+        S, class index)] in emission order.
+
+        A class is the (symbol, S) that replay the same push list and
+        consult the same return relations, so every inner pair set with
+        these anchors composes one summary per class.  A return relation is
+        built only for a pushed symbol whose call reaches an anchor, so each
+        guard is evaluated only when its pop can be consulted, and at most
+        once per (symbol, S, pop) however many plans consult it.
+        """
+        key = (bracket, s_push, anchors)
+        found = self._plans.get(key)
+        if found is not None:
+            return found
+        classes: list[list] = []
+        template: list[tuple] = []
+        # Push lists and relations are memoized objects, so their identities
+        # name a class.
+        class_of: dict[tuple[int, ...], int] = {}
+        for sym in self.returns:
+            for s in self.guards[sym]:
+                pushes = self.pushes(bracket, self.call_truths(s_push, s))
+                consulted = [(call_rows, self.step(sym, s, pop))
+                             for pop, call_rows, reach in pushes
+                             if reach & anchors]
+                same = (id(pushes), *[id(ret) for _, ret in consulted])
+                index = class_of.get(same)
+                if index is None:
+                    index = class_of[same] = len(classes)
+                    classes.append([
+                        (ret, [(q, entries & anchors)
+                               for q, entries in enumerate(call_rows)
+                               if entries & anchors])
+                        for call_rows, ret in consulted])
+                template.append((sym, s, index))
+        found = self._plans[key] = (classes, template)
+        return found
+
     def summaries(self, inner: int, bracket: str, s_push) -> tuple:
         """The non-empty pop summaries of an inner pair set under a pushed
         bracket and truth set, memoized: they do not depend on the context
@@ -276,11 +328,12 @@ class _Direct:
         order.
 
         A summary relates each source state at the call to where (call,
-        inner behaviour, return) can lead from it.  A return relation is
-        built only for a pushed symbol whose call reaches an anchor of
-        inner, so each guard is evaluated only when the pop can be consulted.
-        Truth sets that replay the same pushes and select the same return
-        relations share one summary, composed once.
+        inner behaviour, return) can lead from it.  It is composed once per
+        class of return truth sets of the plan for inner's anchors (see
+        plan), and uses is the plan's template with each class replaced by
+        its summary; equal summaries are one object (see relation).
+        Composing reads only relations the plan built, so it evaluates no
+        guard.
         """
         key = (inner, bracket, s_push)
         found = self._summaries.get(key)
@@ -292,37 +345,27 @@ class _Direct:
         for p, targets in enumerate(exits):
             if targets:
                 anchors |= 1 << p
+        classes, template = self.plan(bracket, s_push, anchors)
         distinct: list[_Relation] = []
-        uses: list[tuple] = []
-        found = self._summaries[key] = (distinct, uses)
-        # Push lists and relations are memoized objects, so their identities
-        # name a composition: its summary's index in distinct, or None if it
-        # is empty.  Equal summaries are one object (see relation).
-        composed: dict[tuple[int, ...], Optional[int]] = {}
         index_of: dict[int, int] = {}
-        for sym in self.returns:
-            for s in self.guards[sym]:
-                pushes = self.pushes(bracket, self.call_truths(s_push, s))
-                consulted = [(call_rows, self.step(sym, s, pop))
-                             for pop, call_rows, reach in pushes
-                             if reach & anchors]
-                same = (id(pushes), *[id(ret) for _, ret in consulted])
-                if same not in composed:
-                    out = [0] * self.n
-                    for call_rows, ret in consulted:
-                        after = [ret[targets] for targets in exits]
-                        for q, entries in enumerate(call_rows):
-                            if entries & anchors:
-                                out[q] |= _image(after, entries)
-                    composed[same] = None
-                    if any(out):
-                        f = self.relation(tuple(out))
-                        if id(f) not in index_of:
-                            index_of[id(f)] = len(distinct)
-                            distinct.append(f)
-                        composed[same] = index_of[id(f)]
-                if composed[same] is not None:
-                    uses.append((sym, s, composed[same]))
+        composed: list[Optional[int]] = []  # per class, None if empty
+        for consulted in classes:
+            out = [0] * self.n
+            for ret, entries_of in consulted:
+                after = [ret[targets] for targets in exits]
+                for q, entries in entries_of:
+                    out[q] |= _image(after, entries)
+            index = None
+            if any(out):
+                f = self.relation(tuple(out))
+                index = index_of.get(id(f))
+                if index is None:
+                    index = index_of[id(f)] = len(distinct)
+                    distinct.append(f)
+            composed.append(index)
+        uses = [(sym, s, composed[c]) for sym, s, c in template
+                if composed[c] is not None]
+        found = self._summaries[key] = (distinct, uses)
         return found
 
     def call_truths(self, s_push, s_now):
@@ -426,10 +469,13 @@ class _Direct:
                 if (gamma, state) in paired:
                     return
                 paired.add((gamma, state))
+                steps = self.pop_steps(state, gamma)
+                if not steps:
+                    return
                 name = name_of(state)
                 gname = gnames[gamma]
                 results = pop_results[gamma]
-                for sym, s, nxt in self.pop_steps(state, gamma):
+                for sym, s, nxt in steps:
                     rules.append(ReturnRule(name, sym, gname, guards[sym][s],
                                             name_of(nxt)))
                     if nxt not in results:

@@ -125,6 +125,14 @@ class Clock:
             raise TimedStringError(f"{self.kind.value} clock needs a symbol")
         if not needs_symbol and self.symbol is not None:
             raise TimedStringError(f"{self.kind.value} clock takes no symbol")
+        # The generated hash's value, computed once, as for Atom.
+        object.__setattr__(self, "_hash", hash((self.kind, self.symbol)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (Clock, (self.kind, self.symbol))
 
     def sort_key(self) -> tuple:
         return (_KIND_ORDER[self.kind], self.symbol or "")

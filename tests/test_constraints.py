@@ -1,8 +1,14 @@
 """Constraint ASTs, truth-assignment semantics and exclusivity."""
 
+import copy
 import itertools
+import os
+import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +22,7 @@ import ecidpda.constraints as constraints_module
 from ecidpda.constraints import (MAX_GUARD_DEPTH, feasible_truth_sets,
                                  sorted_atoms)
 from ecidpda.generate import random_clock
+from ecidpda.timed import ClockKind
 
 from .conftest import random_symbols, timed
 
@@ -51,6 +58,73 @@ class TestAst:
         assert atoms(And(A, Not(A))) == {A}
         assert atoms(Or(A, And(B, TRUE))) == {A, B}
         assert atoms(TRUE) == frozenset()
+
+
+_FIELDS = {
+    "atom": lambda x: (x.clock, x.op, x.bound),
+    "clock": lambda x: (x.kind, x.symbol),
+}
+_MAKE = {
+    "atom": lambda: atom(hist("c"), "<=", F(3, 2)),
+    "clock": lambda: hist("c"),
+}
+
+# Pickles under one hash seed, then loads under another and looks the copy
+# up among fresh equal objects: a cached hash must not cross the seeds.
+_PICKLED_SCRIPT = """
+import pickle, sys
+from fractions import Fraction
+from ecidpda import atom, hist
+fresh = [atom(hist(s), "<=", Fraction(3, 2)) for s in "abcdefgh"]
+if sys.argv[1] == "dump":
+    sys.stdout.buffer.write(pickle.dumps(fresh[2]))
+else:
+    loaded = pickle.loads(sys.stdin.buffer.read())
+    assert loaded in set(fresh) and loaded.clock in {x.clock for x in fresh}
+    assert {loaded: 1}[fresh[2]] == 1
+"""
+
+
+class TestCachedHash:
+    """Atom and Clock compute their generated hash once."""
+
+    @pytest.mark.parametrize("kind", list(_MAKE))
+    def test_hash_is_the_generated_formula(self, kind):
+        x = _MAKE[kind]()
+        assert hash(x) == hash(_FIELDS[kind](x))
+
+    @pytest.mark.parametrize("kind", list(_MAKE))
+    def test_equal_distinct_objects_share_an_entry(self, kind):
+        x, y = _MAKE[kind](), _MAKE[kind]()
+        assert x is not y and x == y
+        assert len({x, y}) == 1 and {x: 1}[y] == 1
+
+    @pytest.mark.parametrize("kind", list(_MAKE))
+    @pytest.mark.parametrize("how", [
+        copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))])
+    def test_copies_round_trip(self, kind, how):
+        x = _MAKE[kind]()
+        y = how(x)
+        assert y == x and hash(y) == hash(x) and y in {x}
+        assert _FIELDS[kind](y) == _FIELDS[kind](x)
+
+    def test_stack_clock_round_trips(self):
+        x = atom(stack_pred(), ">=", 0)
+        y = pickle.loads(pickle.dumps(x))
+        assert y == x and y.clock.kind is ClockKind.STACK_PREDICTION
+
+    def test_pickle_crosses_hash_seeds(self):
+        src = str(Path(constraints_module.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        dumped = subprocess.run(
+            [sys.executable, "-c", _PICKLED_SCRIPT, "dump"],
+            env={**env, "PYTHONHASHSEED": "1"}, capture_output=True,
+            check=True, timeout=60).stdout
+        subprocess.run(
+            [sys.executable, "-c", _PICKLED_SCRIPT, "load"], input=dumped,
+            env={**env, "PYTHONHASHSEED": "2"}, capture_output=True,
+            check=True, timeout=60)
 
 
 class TestEvaluate:

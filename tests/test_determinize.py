@@ -290,16 +290,27 @@ class TestPinnedOutputs:
                for spec in workloads.MONITOR_AUTOMATA]
         assert got == wants
 
-    def test_random_draws(self):
-        rng = random.Random(0)
+    @staticmethod
+    def draws_digest(seed: int, max_states: int) -> str:
+        """One digest of 300 generator draws, cycling the constructions."""
+        rng = random.Random(seed)
         digests = []
         for i in range(300):
             mode = ("untimed", "direct", "nostackpred")[i % 3]
-            a = random_automaton(rng, max_states=2, max_stack=2, max_atoms=2,
-                                 timed=(mode != "untimed"))
+            a = random_automaton(rng, max_states=max_states, max_stack=2,
+                                 max_atoms=2, timed=(mode != "untimed"))
             digests.append(_digest(MODES[mode](a)))
-        assert hashlib.sha256("".join(digests).encode()).hexdigest() == (
+        return hashlib.sha256("".join(digests).encode()).hexdigest()
+
+    def test_random_draws(self):
+        assert self.draws_digest(0, max_states=2) == (
             "0de8405dc963fa2ce8cbc1c09a04e5705a6df23998ceb69ccda0d394d8bc44ba")
+
+    def test_random_draws_with_three_states(self):
+        # Three source states give anchor masks of three bits, so several
+        # plans of return truth-set classes exist per (bracket, S).
+        assert self.draws_digest(1, max_states=3) == (
+            "ba18fc8c92ae8c2bb4fc57b338f48208f89e641268b32117e8a0053170bdcf8f")
 
 
 class TestCollectorPause:
